@@ -1,20 +1,18 @@
 // Solver-kernel scaling bench: the perf-regression anchor for the Async
 // Solver's MIP engine (the machinery behind Figures 7 and 10).
 //
-// Runs the phase-1 RAS MIP over a set of synthetic regions under four solver
+// Runs the phase-1 RAS MIP over a set of synthetic regions under two solver
 // configurations:
 //
-//   seed-dense  : the original serial dense simplex (full Dantzig pricing,
-//                 fixed refactor cadence) — the reference the repo grew from.
-//   sparse      : CSC kernels + partial pricing + adaptive refactorization,
-//                 serial branch-and-bound.
-//   sparse-t2/4 : sparse kernels with 2 / 4 branch-and-bound workers.
+//   seed-dense : the original dense simplex (full Dantzig pricing, fixed
+//                refactor cadence) — the reference the repo grew from.
+//   sparse     : CSC kernels + partial pricing + adaptive refactorization.
 //
-// Prints a comparison table and writes BENCH_solver.json (via the common
-// bench_json emitter) with wall time, simplex iterations, nodes, gap, and
-// threads per configuration, so successive runs can be diffed mechanically.
-// Also verifies that threads=1 is run-to-run deterministic (bitwise-identical
-// solution vectors).
+// Both run the serial branch-and-bound. Prints a comparison table and writes
+// BENCH_solver.json (via the common bench_json emitter) with wall time,
+// simplex iterations, nodes, and gap per configuration, so successive runs
+// can be diffed mechanically. Also verifies that the search is run-to-run
+// deterministic (bitwise-identical solution vectors).
 //
 // Usage: bench_solver_scaling [small] [output.json]
 
@@ -58,14 +56,13 @@ struct ConfigResult {
 };
 
 ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConfig& config,
-                       bool use_sparse, int threads) {
+                       bool use_sparse) {
   ConfigResult out;
   for (size_t w = 0; w < workloads.size(); ++w) {
     Workload& wl = *workloads[w];
     MipOptions options = config.phase1_mip;
     options.lp = LpOptions();
     options.lp.use_sparse_kernels = use_sparse;
-    options.threads = threads;
     options.heuristic = MakeLpRoundingHeuristic(wl.input, wl.classes, wl.built);
     MipSolver solver(options);
     double t0 = WallNow();
@@ -96,7 +93,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("Solver scaling: sparse simplex kernels + parallel branch-and-bound",
+  PrintHeader("Solver scaling: sparse simplex kernels",
               "continuous region-wide re-optimization must be as fast as the hardware "
               "allows (Figs. 7/10 measure allocation time and setup scaling)");
 
@@ -150,13 +147,10 @@ int main(int argc, char** argv) {
   struct Config {
     const char* name;
     bool sparse;
-    int threads;
   };
   const Config kConfigs[] = {
-      {"seed-dense", false, 1},
-      {"sparse", true, 1},
-      {"sparse-t2", true, 2},
-      {"sparse-t4", true, 4},
+      {"seed-dense", false},
+      {"sparse", true},
   };
 
   BenchJsonWriter json("solver_scaling");
@@ -164,15 +158,15 @@ int main(int argc, char** argv) {
   std::printf("\n%-12s %10s %12s %8s %12s %10s %9s\n", "config", "wall_s", "lp_iters",
               "nodes", "objective", "gap", "speedup");
   double dense_wall = 0.0;
-  double t4_speedup = 0.0;
+  double sparse_speedup = 0.0;
   for (const Config& c : kConfigs) {
-    ConfigResult r = RunConfig(ptrs, config, c.sparse, c.threads);
-    if (c.threads == 1 && !c.sparse) {
+    ConfigResult r = RunConfig(ptrs, config, c.sparse);
+    if (!c.sparse) {
       dense_wall = r.wall_s;
     }
     double speedup = dense_wall > 0 ? dense_wall / r.wall_s : 1.0;
-    if (c.threads == 4) {
-      t4_speedup = speedup;
+    if (c.sparse) {
+      sparse_speedup = speedup;
     }
     std::printf("%-12s %10.3f %12lld %8lld %12.1f %10.1f %8.2fx\n", c.name, r.wall_s,
                 static_cast<long long>(r.lp_iterations), static_cast<long long>(r.nodes),
@@ -180,7 +174,6 @@ int main(int argc, char** argv) {
     json.AddRecord()
         .Set("config", c.name)
         .Set("sparse_kernels", c.sparse)
-        .Set("threads", c.threads)
         .Set("wall_s", r.wall_s)
         .Set("iterations", r.lp_iterations)
         .Set("nodes", r.nodes)
@@ -191,12 +184,12 @@ int main(int argc, char** argv) {
         .Set("workloads", static_cast<int64_t>(kWorkloads));
   }
 
-  // threads=1 determinism: two runs of the sparse serial config must produce
-  // bitwise-identical solution vectors.
-  ConfigResult d1 = RunConfig(ptrs, config, /*use_sparse=*/true, /*threads=*/1);
-  ConfigResult d2 = RunConfig(ptrs, config, /*use_sparse=*/true, /*threads=*/1);
+  // Determinism: two runs of the sparse config must produce bitwise-identical
+  // solution vectors.
+  ConfigResult d1 = RunConfig(ptrs, config, /*use_sparse=*/true);
+  ConfigResult d2 = RunConfig(ptrs, config, /*use_sparse=*/true);
   bool deterministic = d1.first_x == d2.first_x;
-  std::printf("\nthreads=1 determinism (bitwise, repeated run): %s\n",
+  std::printf("\ndeterminism (bitwise, repeated run): %s\n",
               deterministic ? "OK" : "MISMATCH");
   AddDeterminismRecord(json, "sparse-serial", deterministic);
 
@@ -204,7 +197,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  std::printf("sparse-t4 speedup vs seed-dense: %.2fx (target >= 2x on the default region)\n",
-              t4_speedup);
+  std::printf("sparse speedup vs seed-dense: %.2fx (target >= 2x on the default region)\n",
+              sparse_speedup);
   return deterministic ? 0 : 1;
 }

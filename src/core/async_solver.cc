@@ -175,32 +175,24 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
   const double gap = mip_options.absolute_gap;
 
   // Skip-solve fast path, checked before the greedy initial state so a
-  // skipped round pays for neither the greedy construction nor the MIP. Two
-  // regimes share the path:
-  //   - Exactly-empty delta (the default knob, 0 changed servers): the input
-  //     is bitwise the cached round's input, and the cold pipeline is
-  //     deterministic — re-solving would recompute exactly the cached
-  //     incumbent. Returning it is parity-exact with no proof needed, even
-  //     when the cached solve was node-limited (kFeasible); the round reports
-  //     the cached round's true MIP status.
-  //   - Trivial non-empty delta (knob raised): an approximation, allowed only
-  //     when the shifted incumbent revalidates against the cached proven
-  //     bound within the configured gap.
-  if (patched && delta.reservations_resized == 0 &&
-      delta.delta_servers() <= config_.skip_solve_max_delta_servers) {
+  // skipped round pays for neither the greedy construction nor the MIP. With
+  // an exactly-empty delta the input is bitwise the cached round's input, and
+  // the cold pipeline is deterministic — re-solving would recompute exactly
+  // the cached incumbent. Returning it is parity-exact with no proof needed,
+  // even when the cached solve was node-limited (kFeasible); the round
+  // reports the cached round's true MIP status.
+  if (patched && delta.reservations_resized == 0 && delta.delta_servers() == 0) {
     t0 = util::MonotonicSeconds();
-    const bool exact_delta = delta.delta_servers() == 0;
     std::vector<double> shifted;
     if (ShiftIncumbentCounts(*entry, classes, &shifted)) {
       std::vector<double> shifted_warm = MakeWarmStart(input, classes, built, shifted);
       const double shifted_obj = built.model.Objective(shifted_warm);
-      if (built.model.IsFeasible(shifted_warm, mip_options.integrality_tol * 10) &&
-          (exact_delta || shifted_obj <= entry->best_bound + gap)) {
+      if (built.model.IsFeasible(shifted_warm, mip_options.integrality_tol * 10)) {
         local_solution = std::move(shifted_warm);
         solution = &local_solution;
         skip_counts = std::move(shifted);
         outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-        outcome.stats.mip_status = exact_delta ? entry->mip_status : MipStatus::kOptimal;
+        outcome.stats.mip_status = entry->mip_status;
         outcome.stats.nodes = 0;
         outcome.stats.objective = shifted_obj;
         outcome.stats.warm_start_objective = shifted_obj;
@@ -250,8 +242,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
       outcome.stats.objective = ls.final_objective;
       outcome.stats.best_bound = -kInf;
     } else {
-      const int effective_threads = std::max(mip_options.threads, config_.solver_threads);
-
       // Bound-gated fast path: re-solve only the root LP, restarting from the
       // cached basis, and compare its bound against the greedy incumbent. When
       // the bound prunes (the serial branch-and-bound's first decision, taken
@@ -259,14 +249,12 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
       // incumbent untouched — so return it here without opening the tree,
       // replacing the entire cold root solve + search with one basis
       // refactorization and a few pivots. When the bound does not prune, the
-      // probe is discarded and the MIP below runs exactly as if cold. Serial
-      // solves only: the parallel search runs its heuristic before the root
-      // prune, so its pruned outcome is not the plain warm incumbent. Gated
+      // probe is discarded and the MIP below runs exactly as if cold. Gated
       // on the cached round's own gap: when last round's incumbent already
       // sat far above its LP bound (the structural integer-ceil regime), this
       // round's root bound cannot prune either — the probe would be a wasted
       // refactorization every round.
-      if (patched && effective_threads == 1 && !entry->root_basis.empty() &&
+      if (patched && !entry->root_basis.empty() &&
           entry->objective - entry->best_bound <= 2 * gap &&
           built.model.IsFeasible(warm, mip_options.integrality_tol * 10)) {
         SimplexSolver probe{LpOptions()};
@@ -294,7 +282,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
       if (solution == nullptr) {
         MipOptions options = mip_options;
         options.lp = LpOptions();
-        options.threads = effective_threads;
         options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
         if (patched && !config_.resolve_strict_parity) {
           options.root_basis = entry->root_basis;
@@ -641,12 +628,11 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   ShardDemand demand = SplitDemand(input, plan);
 
   // Each shard runs this solver's monolithic path on its sub-input.
-  // shard_count = 1 terminates the recursion; solver_threads = 1 keeps every
-  // per-shard solve serial and deterministic — the shards themselves are the
+  // shard_count = 1 terminates the recursion; every per-shard solve is the
+  // serial deterministic branch-and-bound — the shards themselves are the
   // parallelism axis.
   SolverConfig sub_config = config_;
   sub_config.shard_count = 1;
-  sub_config.solver_threads = 1;
 
   // Persistent per-shard solvers: shard k's sub-solver (and the resolve cache
   // inside it) survives across rounds while the plan signature holds, so a

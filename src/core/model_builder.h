@@ -92,19 +92,13 @@ struct SolverConfig {
 
   // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
   // Reuses the previous round's model (patched in place), root simplex basis,
-  // and incumbent when consecutive snapshots are structurally equal. With the
-  // two sub-knobs at their defaults the reuse paths only short-circuit work a
-  // cold solve would provably repeat, so disabling this changes timings, not
-  // targets.
+  // and incumbent when consecutive snapshots are structurally equal. With
+  // resolve_strict_parity at its default the reuse paths only short-circuit
+  // work a cold solve would provably repeat, so disabling this changes
+  // timings, not targets. A round with an empty delta skips the MIP and
+  // returns the cached incumbent, exactly what the deterministic cold solve
+  // would recompute.
   bool incremental_resolve = true;
-  // A round whose server delta (state changes + adds + removes) is at most
-  // this many servers may skip the MIP entirely when the shifted cached
-  // incumbent revalidates within the phase's absolute gap. 0 (default)
-  // restricts the skip to unchanged rounds, where the cached incumbent is
-  // exactly what the deterministic cold solve would recompute. Values > 0
-  // trade exactness for speed: results stay feasible and within the gap of
-  // the cached bound, but need not be bit-identical to a cold solve.
-  int skip_solve_max_delta_servers = 0;
   // Strict parity (default): the cached basis is only used for a separate
   // root-bound probe whose fired outcome equals the cold serial root prune;
   // when the probe does not fire, the MIP runs exactly as if cold. false
@@ -112,13 +106,6 @@ struct SolverConfig {
   // faster, but alternate LP optima can steer branching differently, so
   // targets may (validly) differ from a cold solve.
   bool resolve_strict_parity = true;
-
-  // Branch-and-bound workers for both MIP phases (MipOptions::threads).
-  // 1 = the deterministic serial solver; the SolverSupervisor also drops back
-  // to 1 on degraded ladder rungs so retries after a failure are
-  // reproducible. Raising either phase's MipOptions::threads directly wins
-  // over this knob.
-  int solver_threads = 1;
 
   // Rejected-proposal patience for the local-search polish of the greedy
   // warm start (LocalSearchOptions::stall_limit). The greedy start is

@@ -7,8 +7,8 @@
 // against the cached snapshot and, when the model structure survives
 // (RoundDelta::patchable), re-targets the cached model in place
 // (PatchRasModel), restarts the root LP from the cached basis, and — when the
-// delta is empty-or-trivial and the shifted incumbent revalidates within the
-// configured gap — skips the MIP entirely.
+// delta is exactly empty and the shifted incumbent is still feasible — skips
+// the MIP entirely.
 //
 // Lifetime rules (see DESIGN.md "Incremental re-solve"): the cache lives
 // inside an AsyncSolver and survives exactly as long as consecutive healthy

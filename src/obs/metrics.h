@@ -14,8 +14,8 @@
 //      the registry enabled or disabled (tests/obs/obs_parity_test.cc).
 //   2. *Never contend on the hot path.* Counter::Add / Histogram::Observe
 //      are one relaxed atomic add on a thread-sharded, cache-line-padded
-//      cell; solver workers (parallel branch-and-bound, shard fan-out)
-//      touching the same metric never share a cache line. The registry's
+//      cell; shard fan-out workers touching the same metric never share
+//      a cache line. The registry's
 //      util::Mutex guards only registration and snapshotting.
 //   3. *Handles are forever.* counter()/gauge()/histogram() return stable
 //      references; ResetValues() zeroes values but never unregisters, so

@@ -42,20 +42,12 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   double absolute_gap = 1e-6;
   double relative_gap = 1e-6;
-  // Branch-and-bound worker threads. 1 (the default) runs the deterministic
-  // serial search. Higher values explore open nodes concurrently: each worker
-  // owns its own SimplexSolver (warm-started along its own node chain) and
-  // shares the open-node queue, incumbent, and node/time budgets. The
-  // returned incumbent can differ between runs (whichever worker improves it
-  // first wins ties), but any proven-optimal objective is the same.
-  int threads = 1;
   LpOptions lp;
   // When set, used instead of the built-in generic fix-and-solve rounding.
   // RAS installs an LP-guided greedy that understands the assignment
-  // structure (src/core/lp_rounding). Must be thread-safe when threads > 1;
-  // the LP-rounding heuristic is (it only reads its captured model state).
+  // structure (src/core/lp_rounding).
   MipHeuristic heuristic;
-  // Cross-round warm start (resolve cache): when non-empty, each node-chain
+  // Cross-round warm start (resolve cache): when non-empty, the node LP
   // solver tries to import this basis before its first LP, so the root solve
   // restarts from the previous round's optimum instead of the all-slack
   // basis. A basis that fails to import (shape mismatch, singular against
@@ -75,7 +67,7 @@ struct MipResult {
   double objective = 0.0;     // Incumbent objective.
   double best_bound = 0.0;    // Proven lower bound on the optimum.
   int64_t nodes = 0;
-  // Simplex iterations summed over every node LP (all workers).
+  // Simplex iterations summed over every node LP.
   int64_t lp_iterations = 0;
   double solve_seconds = 0.0;
   bool hit_time_limit = false;
@@ -83,8 +75,8 @@ struct MipResult {
   // optimality). The resolve cache persists it to seed the next round via
   // MipOptions::root_basis.
   SimplexBasis root_basis;
-  // Whether MipOptions::root_basis was successfully imported by at least one
-  // node-chain solver.
+  // Whether MipOptions::root_basis was successfully imported by the node LP
+  // solver.
   bool root_basis_used = false;
   // Solver-layer re-optimization telemetry summed over every node LP: warm
   // resolves served by the dual simplex kernel, the dual pivots they took,
@@ -100,13 +92,13 @@ class MipSolver {
  public:
   explicit MipSolver(const MipOptions& options = MipOptions()) : options_(options) {}
 
-  // `warm_start`, if provided and feasible for `model`, seeds the incumbent;
-  // infeasible warm starts are ignored.
+  // Runs the serial, deterministic depth-first search. `warm_start`, if
+  // provided and feasible for `model`, seeds the incumbent; infeasible warm
+  // starts are ignored.
   MipResult Solve(const Model& model, const std::vector<double>* warm_start = nullptr);
 
  private:
-  MipResult SolveSerial(const Model& model, const std::vector<double>* warm_start);
-  MipResult SolveParallel(const Model& model, const std::vector<double>* warm_start);
+  MipResult Search(const Model& model, const std::vector<double>* warm_start);
 
   MipOptions options_;
 };

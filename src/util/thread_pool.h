@@ -1,12 +1,12 @@
 // Small joinable thread pool.
 //
 // Fixed worker count, FIFO task queue, and a Wait() barrier that blocks until
-// every submitted task has finished. Used by the parallel branch-and-bound
-// (src/solver/mip) and the shard solve coordinator (src/shard/shard_solve):
-// both submit one long-running worker loop per thread and coordinate over
-// their own shared state, so the pool only needs to guarantee that all
-// submitted tasks run concurrently when their count does not exceed the pool
-// size.
+// every submitted task has finished. Used by the shard solve coordinator
+// (src/shard/shard_solve), which submits one long-running worker loop per
+// thread and coordinates over its own shared state, so the pool only needs
+// to guarantee that all submitted tasks run concurrently when their count
+// does not exceed the pool size. The raslint driver also fans its per-file
+// scans onto it.
 //
 // This is the sanctioned home for raw std::thread in the repository
 // (raslint's ras-naked-thread rule); all other concurrency rides on it.
