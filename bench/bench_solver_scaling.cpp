@@ -1,18 +1,13 @@
 // Solver-kernel scaling bench: the perf-regression anchor for the Async
 // Solver's MIP engine (the machinery behind Figures 7 and 10).
 //
-// Runs the phase-1 RAS MIP over a set of synthetic regions under two solver
-// configurations:
-//
-//   seed-dense : the original dense simplex (full Dantzig pricing, fixed
-//                refactor cadence) — the reference the repo grew from.
-//   sparse     : CSC kernels + partial pricing + adaptive refactorization.
-//
-// Both run the serial branch-and-bound. Prints a comparison table and writes
+// Runs the phase-1 RAS MIP (default solver options: sparse LU simplex,
+// partial pricing, adaptive refactorization, serial branch-and-bound) over a
+// set of synthetic regions. Prints a summary line and writes
 // BENCH_solver.json (via the common bench_json emitter) with wall time,
-// simplex iterations, nodes, and gap per configuration, so successive runs
-// can be diffed mechanically. Also verifies that the search is run-to-run
-// deterministic (bitwise-identical solution vectors).
+// simplex iterations, nodes, and gap, so successive runs can be diffed
+// mechanically. Also verifies that the search is run-to-run deterministic
+// (bitwise-identical solution vectors) and exits non-zero when it is not.
 //
 // Usage: bench_solver_scaling [small] [output.json]
 
@@ -55,14 +50,12 @@ struct ConfigResult {
   std::vector<double> first_x;  // Solution of the first workload (determinism probe).
 };
 
-ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConfig& config,
-                       bool use_sparse) {
+ConfigResult RunConfig(const std::vector<Workload*>& workloads, const SolverConfig& config) {
   ConfigResult out;
   for (size_t w = 0; w < workloads.size(); ++w) {
     Workload& wl = *workloads[w];
     MipOptions options = config.phase1_mip;
     options.lp = LpOptions();
-    options.lp.use_sparse_kernels = use_sparse;
     options.heuristic = MakeLpRoundingHeuristic(wl.input, wl.classes, wl.built);
     MipSolver solver(options);
     double t0 = WallNow();
@@ -93,7 +86,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("Solver scaling: sparse simplex kernels",
+  PrintHeader("Solver scaling: sparse LU simplex kernels",
               "continuous region-wide re-optimization must be as fast as the hardware "
               "allows (Figs. 7/10 measure allocation time and setup scaling)");
 
@@ -144,50 +137,28 @@ int main(int argc, char** argv) {
     ptrs.push_back(&w);
   }
 
-  struct Config {
-    const char* name;
-    bool sparse;
-  };
-  const Config kConfigs[] = {
-      {"seed-dense", false},
-      {"sparse", true},
-  };
-
   BenchJsonWriter json("solver_scaling");
   AddStandardMeta(json);
-  std::printf("\n%-12s %10s %12s %8s %12s %10s %9s\n", "config", "wall_s", "lp_iters",
-              "nodes", "objective", "gap", "speedup");
-  double dense_wall = 0.0;
-  double sparse_speedup = 0.0;
-  for (const Config& c : kConfigs) {
-    ConfigResult r = RunConfig(ptrs, config, c.sparse);
-    if (!c.sparse) {
-      dense_wall = r.wall_s;
-    }
-    double speedup = dense_wall > 0 ? dense_wall / r.wall_s : 1.0;
-    if (c.sparse) {
-      sparse_speedup = speedup;
-    }
-    std::printf("%-12s %10.3f %12lld %8lld %12.1f %10.1f %8.2fx\n", c.name, r.wall_s,
-                static_cast<long long>(r.lp_iterations), static_cast<long long>(r.nodes),
-                r.objective, r.gap, speedup);
-    json.AddRecord()
-        .Set("config", c.name)
-        .Set("sparse_kernels", c.sparse)
-        .Set("wall_s", r.wall_s)
-        .Set("iterations", r.lp_iterations)
-        .Set("nodes", r.nodes)
-        .Set("objective", r.objective)
-        .Set("gap", r.gap)
-        .Set("status", MipStatusName(r.status))
-        .Set("speedup_vs_dense", speedup)
-        .Set("workloads", static_cast<int64_t>(kWorkloads));
-  }
+  std::printf("\n%-12s %10s %12s %8s %12s %10s\n", "config", "wall_s", "lp_iters", "nodes",
+              "objective", "gap");
+  ConfigResult r = RunConfig(ptrs, config);
+  std::printf("%-12s %10.3f %12lld %8lld %12.1f %10.1f\n", "sparse", r.wall_s,
+              static_cast<long long>(r.lp_iterations), static_cast<long long>(r.nodes),
+              r.objective, r.gap);
+  json.AddRecord()
+      .Set("config", "sparse")
+      .Set("wall_s", r.wall_s)
+      .Set("iterations", r.lp_iterations)
+      .Set("nodes", r.nodes)
+      .Set("objective", r.objective)
+      .Set("gap", r.gap)
+      .Set("status", MipStatusName(r.status))
+      .Set("workloads", static_cast<int64_t>(kWorkloads));
 
-  // Determinism: two runs of the sparse config must produce bitwise-identical
-  // solution vectors.
-  ConfigResult d1 = RunConfig(ptrs, config, /*use_sparse=*/true);
-  ConfigResult d2 = RunConfig(ptrs, config, /*use_sparse=*/true);
+  // Determinism: two more runs must produce bitwise-identical solution
+  // vectors.
+  ConfigResult d1 = RunConfig(ptrs, config);
+  ConfigResult d2 = RunConfig(ptrs, config);
   bool deterministic = d1.first_x == d2.first_x;
   std::printf("\ndeterminism (bitwise, repeated run): %s\n",
               deterministic ? "OK" : "MISMATCH");
@@ -197,7 +168,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  std::printf("sparse speedup vs seed-dense: %.2fx (target >= 2x on the default region)\n",
-              sparse_speedup);
   return deterministic ? 0 : 1;
 }

@@ -6,10 +6,9 @@
 //
 // Here: the same region sweep as Figure 10. "model bytes" (the MIP instance:
 // variables, rows, nonzeros, decode maps) is the quantity comparable to the
-// paper and is linear in assignment variables. We also print the full
-// working set including this repo's dense basis inverse, which is quadratic
-// in rows — an artifact of the from-scratch LP engine (commercial solvers
-// keep sparse factorizations), documented in EXPERIMENTS.md.
+// paper and is linear in assignment variables. The LP engine keeps a sparse
+// LU of the basis plus an eta file (src/solver/basis_factor.h), sized by the
+// basis nonzeros rather than rows squared, so no quadratic term sits on top.
 
 #include "bench/sweep_common.h"
 
@@ -40,12 +39,5 @@ int main() {
   std::printf("\nlinearity: phase-1 bytes/var at the smallest vs largest scale: %.0f vs %.0f\n",
               first_ratio, last_ratio);
   std::printf("(flat bytes/var == linear growth, the paper's Figure 11 shape)\n");
-
-  SweepRegion biggest(5);
-  SetupMeasurement m = MeasureSetup(biggest);
-  std::printf("\nfull working set incl. dense basis inverse (this repo's LP engine):\n"
-              "  phase 1: %.1f MB, phase 2: %.1f MB — the quadratic basis term is why this\n"
-              "  reproduction keeps regions laptop-sized; see EXPERIMENTS.md.\n",
-              m.phase1_full_bytes / 1048576.0, m.phase2_full_bytes / 1048576.0);
   return 0;
 }

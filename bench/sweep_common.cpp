@@ -28,7 +28,6 @@ SetupMeasurement MeasureSetup(SweepRegion& region) {
   out.phase1_setup_s = Now() - t0;
   out.phase1_vars = built1.num_assignment_variables();
   out.phase1_model_bytes = built1.ModelMemoryBytes();
-  out.phase1_full_bytes = built1.EstimatedMemoryBytes();
 
   // ---- Phase 2 setup: worst 10% of reservations at rack granularity ----
   t0 = Now();
@@ -49,7 +48,6 @@ SetupMeasurement MeasureSetup(SweepRegion& region) {
   out.phase2_setup_s = Now() - t0;
   out.phase2_vars = built2.num_assignment_variables();
   out.phase2_model_bytes = built2.ModelMemoryBytes();
-  out.phase2_full_bytes = built2.EstimatedMemoryBytes();
   (void)warm1;
   (void)warm2;
   return out;

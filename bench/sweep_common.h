@@ -64,8 +64,6 @@ struct SetupMeasurement {
   double phase2_setup_s = 0.0;
   size_t phase1_model_bytes = 0;
   size_t phase2_model_bytes = 0;
-  size_t phase1_full_bytes = 0;
-  size_t phase2_full_bytes = 0;
   size_t servers = 0;
 };
 

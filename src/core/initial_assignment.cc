@@ -67,12 +67,81 @@ std::vector<double> RepairCounts(const SolveInput& input,
     free_candidates[av.reservation_index][cls.msb].push_back(
         Candidate{static_cast<int>(k), static_cast<size_t>(av.class_index), value});
   }
+  auto by_value = [](const Candidate& a, const Candidate& b) { return a.value > b.value; };
   for (auto& per_res : free_candidates) {
     for (auto& [msb, cands] : per_res) {
-      std::sort(cands.begin(), cands.end(),
-                [](const Candidate& a, const Candidate& b) { return a.value > b.value; });
+      std::sort(cands.begin(), cands.end(), by_value);
     }
   }
+
+  // Effective capacity (total minus the worst MSB for buffered reservations)
+  // of reservation `res`, with `removed` RRU taken out of `removed_msb`.
+  auto effective_without = [&](size_t res, uint32_t removed_msb, double removed) {
+    double worst = 0.0;
+    if (input.reservations[res].needs_correlated_buffer) {
+      for (const auto& [msb, rru] : msb_rru[res]) {
+        worst = std::max(worst, msb == removed_msb ? rru - removed : rru);
+      }
+    }
+    return total_rru[res] - removed - worst;
+  };
+
+  // Donor fallback once free supply is gone: move one server to reservation
+  // r from another reservation that still covers its own C_r without it.
+  // Without this, a reservation whose every eligible server is bound
+  // elsewhere — typically a one-server shared buffer whose server just went
+  // down — carries its whole shortfall into the warm start. Tries r's MSBs
+  // least-loaded first (the free fill's spread-first order), r's most
+  // valuable classes first, and donors in assignment-var order.
+  auto take_from_donor = [&](size_t r) {
+    std::map<uint32_t, std::vector<Candidate>> mine;
+    for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
+      const auto& av = built.assignment_vars[k];
+      if (static_cast<size_t>(av.reservation_index) != r) {
+        continue;
+      }
+      const EquivalenceClass& cls = classes[static_cast<size_t>(av.class_index)];
+      mine[cls.msb].push_back(Candidate{static_cast<int>(k),
+                                        static_cast<size_t>(av.class_index),
+                                        input.reservations[r].ValueOfType(cls.type)});
+    }
+    std::vector<std::pair<double, uint32_t>> msbs;
+    for (auto& [msb, cands] : mine) {
+      std::sort(cands.begin(), cands.end(), by_value);
+      auto it = msb_rru[r].find(msb);
+      msbs.push_back({it == msb_rru[r].end() ? 0.0 : it->second, msb});
+    }
+    std::stable_sort(msbs.begin(), msbs.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& entry : msbs) {
+      uint32_t msb = entry.second;
+      for (const Candidate& cand : mine[msb]) {
+        if (cand.value <= 0.0) {
+          continue;
+        }
+        HardwareTypeId type = classes[cand.class_index].type;
+        for (int kd : built.class_to_vars[cand.class_index]) {
+          size_t d = static_cast<size_t>(built.assignment_vars[static_cast<size_t>(kd)]
+                                             .reservation_index);
+          if (d == r || counts[static_cast<size_t>(kd)] < 1.0) {
+            continue;
+          }
+          double donor_value = input.reservations[d].ValueOfType(type);
+          if (effective_without(d, msb, donor_value) + 1e-9 < input.reservations[d].capacity_rru) {
+            continue;
+          }
+          counts[static_cast<size_t>(kd)] -= 1.0;
+          msb_rru[d][msb] -= donor_value;
+          total_rru[d] -= donor_value;
+          counts[static_cast<size_t>(cand.var_index)] += 1.0;
+          msb_rru[r][msb] += cand.value;
+          total_rru[r] += cand.value;
+          return true;
+        }
+      }
+    }
+    return false;
+  };
 
   // Greedy fill, reservation by reservation in id order.
   for (size_t r = 0; r < num_res; ++r) {
@@ -80,16 +149,7 @@ std::vector<double> RepairCounts(const SolveInput& input,
       continue;  // Not part of this build (phase-2 subset).
     }
     const ReservationSpec& spec = input.reservations[r];
-    bool buffered = spec.needs_correlated_buffer;
-    auto effective = [&]() {
-      double worst = 0.0;
-      if (buffered) {
-        for (const auto& [msb, rru] : msb_rru[r]) {
-          worst = std::max(worst, rru);
-        }
-      }
-      return total_rru[r] - worst;
-    };
+    auto effective = [&]() { return effective_without(r, 0, 0.0); };
 
     // Add one server at a time to the compatible MSB with the least RRU for
     // this reservation; this simultaneously fills capacity and minimizes the
@@ -123,6 +183,9 @@ std::vector<double> RepairCounts(const SolveInput& input,
         }
       }
       if (!found) {
+        if (take_from_donor(r)) {
+          continue;
+        }
         break;  // Region exhausted; the shortfall slack absorbs the rest.
       }
       for (const Candidate& cand : free_candidates[r][best_msb]) {

@@ -24,11 +24,6 @@ size_t BuiltModel::ModelMemoryBytes() const {
          assignment_vars.size() * sizeof(AssignmentVar);
 }
 
-size_t BuiltModel::EstimatedMemoryBytes() const {
-  size_t m = model.num_rows();
-  return ModelMemoryBytes() + m * m * sizeof(double);
-}
-
 BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                          const SolverConfig& config, bool include_rack_spread,
                          const std::vector<int>& reservation_subset) {

@@ -20,13 +20,16 @@ void RecordLpMetrics(const LpResult& result) {
   static obs::Counter& iterations =
       reg.counter("ras_simplex_iterations_total", "Simplex pivots across all solves.");
   static obs::Counter& refactorizations = reg.counter(
-      "ras_simplex_refactorizations_total", "Basis inverse rebuilds across all solves.");
+      "ras_simplex_refactorizations_total", "Basis LU factorizations across all solves.");
   static obs::Counter& dual_resolves = reg.counter(
       "ras_simplex_dual_resolves_total", "Warm resolves served by the dual simplex kernel.");
   static obs::Counter& dual_iterations =
       reg.counter("ras_simplex_dual_iterations_total", "Dual simplex pivots across all solves.");
   static obs::Counter& presolve_rows = reg.counter(
       "ras_simplex_presolve_rows_removed_total", "Rows removed by presolve across cold solves.");
+  static obs::Counter& numerical_failures = reg.counter(
+      "ras_simplex_numerical_failures_total",
+      "LP solves that ended NUMERICAL_FAILURE.");
   solves.Add();
   iterations.Add(result.iterations);
   refactorizations.Add(result.refactorizations);
@@ -35,6 +38,9 @@ void RecordLpMetrics(const LpResult& result) {
   }
   dual_iterations.Add(result.dual_iterations);
   presolve_rows.Add(result.presolve_rows_removed);
+  if (result.status == LpStatus::kNumericalFailure) {
+    numerical_failures.Add();
+  }
 }
 
 }  // namespace
@@ -106,83 +112,39 @@ void SimplexSolver::InitializeBasis() {
       value_[j] = 0.0;
     }
   }
-  // All-slack basis. B = -I so B^-1 = -I.
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
+  // All-slack basis B = -I: factorizes without elimination or fill.
   for (int32_t i = 0; i < m_; ++i) {
     int32_t col = n_ + i;
     basis_[i] = col;
     basis_pos_[col] = i;
     status_[col] = ColStatus::kBasic;
-    binv_[static_cast<size_t>(i) * m_ + i] = -1.0;
   }
+  Refactorize();
   ComputeBasicValues();
 }
 
 bool SimplexSolver::Refactorize() {
-  // Dense Gauss-Jordan inversion of the basis matrix with partial pivoting.
-  // O(m^3); called periodically to cap inverse drift.
-  std::vector<double> mat(static_cast<size_t>(m_) * m_, 0.0);
+  // Assemble the basis matrix column by column (slack column i is -e_i) and
+  // hand it to the sparse LU; the eta file starts empty again.
+  basis_starts_.assign(1, 0);
+  basis_rows_.clear();
+  basis_values_.clear();
   for (int32_t pos = 0; pos < m_; ++pos) {
     int32_t col = basis_[pos];
     if (col >= n_) {
-      mat[static_cast<size_t>(col - n_) * m_ + pos] = -1.0;  // Slack column -e_i.
+      basis_rows_.push_back(col - n_);
+      basis_values_.push_back(-1.0);
     } else {
       for (int32_t k = csc_starts_[col]; k < csc_starts_[col + 1]; ++k) {
-        mat[static_cast<size_t>(csc_rows_[k]) * m_ + pos] = csc_values_[k];
+        basis_rows_.push_back(csc_rows_[k]);
+        basis_values_.push_back(csc_values_[k]);
       }
     }
+    basis_starts_.push_back(static_cast<int32_t>(basis_rows_.size()));
   }
-  std::vector<double> inv(static_cast<size_t>(m_) * m_, 0.0);
-  for (int32_t i = 0; i < m_; ++i) {
-    inv[static_cast<size_t>(i) * m_ + i] = 1.0;
+  if (!factor_.Factorize(m_, basis_starts_, basis_rows_, basis_values_)) {
+    return false;  // Singular basis.
   }
-  for (int32_t col = 0; col < m_; ++col) {
-    // Pivot search in column `col` at or below the diagonal.
-    int32_t pivot_row = -1;
-    double best = 1e-11;
-    for (int32_t r = col; r < m_; ++r) {
-      double v = std::fabs(mat[static_cast<size_t>(r) * m_ + col]);
-      if (v > best) {
-        best = v;
-        pivot_row = r;
-      }
-    }
-    if (pivot_row < 0) {
-      return false;  // Singular basis.
-    }
-    if (pivot_row != col) {
-      for (int32_t c = 0; c < m_; ++c) {
-        std::swap(mat[static_cast<size_t>(pivot_row) * m_ + c],
-                  mat[static_cast<size_t>(col) * m_ + c]);
-        std::swap(inv[static_cast<size_t>(pivot_row) * m_ + c],
-                  inv[static_cast<size_t>(col) * m_ + c]);
-      }
-    }
-    double pivot = mat[static_cast<size_t>(col) * m_ + col];
-    double inv_pivot = 1.0 / pivot;
-    double* mat_row = &mat[static_cast<size_t>(col) * m_];
-    double* inv_row = &inv[static_cast<size_t>(col) * m_];
-    for (int32_t c = 0; c < m_; ++c) {
-      mat_row[c] *= inv_pivot;
-      inv_row[c] *= inv_pivot;
-    }
-    for (int32_t r = 0; r < m_; ++r) {
-      if (r == col) {
-        continue;
-      }
-      double factor = mat[static_cast<size_t>(r) * m_ + col];
-      if (factor == 0.0) {
-        continue;
-      }
-      double* mr = &mat[static_cast<size_t>(r) * m_];
-      double* ir = &inv[static_cast<size_t>(r) * m_];
-      for (int32_t c = 0; c < m_; ++c) {
-        mr[c] -= factor * mat_row[c];
-        ir[c] -= factor * inv_row[c];
-      }
-    }
-  }
-  binv_ = std::move(inv);
   etas_since_refactor_ = 0;
   return true;
 }
@@ -206,40 +168,28 @@ void SimplexSolver::ComputeBasicValues() {
       r[i] += value_[col];  // Slack column is -e_i, so -(-1 * x) = +x.
     }
   }
+  factor_.Ftran(r);
   for (int32_t pos = 0; pos < m_; ++pos) {
-    const double* row = &binv_[static_cast<size_t>(pos) * m_];
-    double sum = 0.0;
-    for (int32_t i = 0; i < m_; ++i) {
-      sum += row[i] * r[i];
-    }
-    value_[basis_[pos]] = sum;
+    value_[basis_[pos]] = r[pos];
   }
 }
 
 void SimplexSolver::Ftran(int32_t col, std::vector<double>& alpha,
-                          std::vector<int32_t>* nz) const {
+                          std::vector<int32_t>& nz) const {
   // alpha = B^-1 * A_col.
   alpha.assign(m_, 0.0);
   if (col >= n_) {
-    int32_t r = col - n_;
-    for (int32_t pos = 0; pos < m_; ++pos) {
-      alpha[pos] = -binv_[static_cast<size_t>(pos) * m_ + r];
-    }
+    alpha[col - n_] = -1.0;
   } else {
     for (int32_t k = csc_starts_[col]; k < csc_starts_[col + 1]; ++k) {
-      int32_t r = csc_rows_[k];
-      double v = csc_values_[k];
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        alpha[pos] += binv_[static_cast<size_t>(pos) * m_ + r] * v;
-      }
+      alpha[csc_rows_[k]] = csc_values_[k];
     }
   }
-  if (nz != nullptr) {
-    nz->clear();
-    for (int32_t pos = 0; pos < m_; ++pos) {
-      if (alpha[pos] != 0.0) {
-        nz->push_back(pos);
-      }
+  factor_.Ftran(alpha);
+  nz.clear();
+  for (int32_t pos = 0; pos < m_; ++pos) {
+    if (alpha[pos] != 0.0) {
+      nz.push_back(pos);
     }
   }
 }
@@ -375,7 +325,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
     }
   }
   // Re-snap nonbasic variables onto their (possibly moved) bounds; the basis
-  // matrix is untouched, so binv_ remains exact.
+  // matrix is untouched, so factor_ remains exact.
   for (int32_t j = 0; j < total_; ++j) {
     switch (status_[j]) {
       case ColStatus::kBasic:
@@ -420,7 +370,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
       DualFeasibleBasis(options_.optimality_tol)) {
     used_dual = true;
     if (!RunDualSimplex(&dual_accum)) {
-      // Basis inverse broke down mid-flight: rebuild from scratch.
+      // Basis factorization broke down mid-flight: rebuild from scratch.
       return Solve(model, overrides);
     }
   }
@@ -527,18 +477,12 @@ bool SimplexSolver::ImportBasisInternal(const Model& model, const SimplexBasis& 
 }
 
 bool SimplexSolver::DualFeasibleBasis(double tol) const {
-  // y = cB^T B^-1 with the TRUE costs (row-axpy skipping zero basic costs).
-  std::vector<double> y(m_, 0.0);
+  // y = B^-T c_B with the TRUE costs.
+  std::vector<double> y(m_);
   for (int32_t pos = 0; pos < m_; ++pos) {
-    double c = cost_[basis_[pos]];
-    if (c == 0.0) {
-      continue;
-    }
-    const double* row = &binv_[static_cast<size_t>(pos) * m_];
-    for (int32_t i = 0; i < m_; ++i) {
-      y[i] += c * row[i];
-    }
+    y[pos] = cost_[basis_[pos]];
   }
+  factor_.Btran(y);
   for (int32_t j = 0; j < total_; ++j) {
     if (status_[j] == ColStatus::kBasic || lb_[j] == ub_[j]) {
       continue;  // Fixed columns cannot move: any reduced-cost sign is fine.
@@ -586,6 +530,7 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
   const int64_t max_iters = 50 + 2LL * m_;
 
   std::vector<double> y(m_);
+  std::vector<double> rho_row(m_);
   std::vector<double> alpha_col(m_);
   std::vector<int32_t> alpha_nz;
   alpha_nz.reserve(m_);
@@ -616,22 +561,17 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     }
     ++accum->dual_iterations;
 
-    // The BTRAN row for the leaving position is a row of the dense inverse —
-    // free with an explicit B^-1. Reduced costs are re-priced from scratch
-    // each pivot (same row-axpy as the primal loop) rather than updated
-    // incrementally; at this iteration budget, exactness beats bookkeeping.
-    const double* rho_row = &binv_[static_cast<size_t>(leaving_pos) * m_];
-    std::fill(y.begin(), y.end(), 0.0);
+    // rho = B^-T e_r is the leaving position's row of B^-1. Reduced costs
+    // are re-priced from scratch each pivot (same BTRAN as the primal loop)
+    // rather than updated incrementally; at this iteration budget, exactness
+    // beats bookkeeping.
+    std::fill(rho_row.begin(), rho_row.end(), 0.0);
+    rho_row[leaving_pos] = 1.0;
+    factor_.Btran(rho_row);
     for (int32_t pos = 0; pos < m_; ++pos) {
-      double c = cost_[basis_[pos]];
-      if (c == 0.0) {
-        continue;
-      }
-      const double* row = &binv_[static_cast<size_t>(pos) * m_];
-      for (int32_t i = 0; i < m_; ++i) {
-        y[i] += c * row[i];
-      }
+      y[pos] = cost_[basis_[pos]];
     }
+    factor_.Btran(y);
 
     // --- Bounded-variable dual ratio test. The leaving variable moves to its
     // violated bound; entering j must move the right way, which fixes the
@@ -683,10 +623,10 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
       return true;
     }
 
-    Ftran(entering, alpha_col, &alpha_nz);
+    Ftran(entering, alpha_col, alpha_nz);
     double pivot = alpha_col[leaving_pos];
     if (std::fabs(pivot) < ptol) {
-      // FTRAN disagrees with the BTRAN row: the inverse has drifted. Bail to
+      // FTRAN disagrees with the BTRAN row: the factor has drifted. Bail to
       // the primal verifier, which starts with its own clean refactorization.
       return true;
     }
@@ -710,21 +650,7 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     status_[entering] = ColStatus::kBasic;
 
     // Product-form eta update, identical cadence to the primal loop.
-    double* pivot_row = &binv_[static_cast<size_t>(leaving_pos) * m_];
-    double inv_pivot = 1.0 / pivot;
-    for (int32_t i = 0; i < m_; ++i) {
-      pivot_row[i] *= inv_pivot;
-    }
-    for (int32_t pos : alpha_nz) {
-      if (pos == leaving_pos) {
-        continue;
-      }
-      double factor = alpha_col[pos];
-      double* row = &binv_[static_cast<size_t>(pos) * m_];
-      for (int32_t i = 0; i < m_; ++i) {
-        row[i] -= factor * pivot_row[i];
-      }
-    }
+    factor_.Update(leaving_pos, alpha_col, alpha_nz);
     eta_fill += static_cast<double>(alpha_nz.size());
     accum->eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
     ++etas_since_refactor_;
@@ -761,16 +687,14 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
   LpResult result;
   const double ftol = options_.feasibility_tol;
   const double dtol = options_.optimality_tol;
-  const bool sparse = options_.use_sparse_kernels;
   int64_t max_iters = options_.max_iterations > 0
                           ? options_.max_iterations
                           : 200 + 40LL * (static_cast<int64_t>(m_) + total_);
 
   std::vector<double> y(m_);        // Pricing duals.
   std::vector<double> alpha(m_);    // FTRAN result.
-  std::vector<int32_t> alpha_nz;    // FTRAN nonzero positions (sparse path).
+  std::vector<int32_t> alpha_nz;    // FTRAN nonzero positions.
   alpha_nz.reserve(m_);
-  std::vector<double> cb(m_);       // Basic costs for the current phase.
   std::vector<int32_t> candidates;  // Partial-pricing candidate list.
   std::vector<std::pair<double, int32_t>> scored;  // Full-scan scratch.
   bool refresh_candidates = true;
@@ -800,48 +724,23 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
       last_phase1 = phase1;
     }
 
-    // --- Pricing: y = cB^T B^-1, then reduced costs per nonbasic column. ---
+    // --- Pricing: y = B^-T c_B, then reduced costs per nonbasic column. ---
     for (int32_t pos = 0; pos < m_; ++pos) {
       int32_t col = basis_[pos];
       if (phase1) {
         double x = value_[col];
         if (x > ub_[col] + ftol) {
-          cb[pos] = 1.0;
+          y[pos] = 1.0;
         } else if (x < lb_[col] - ftol) {
-          cb[pos] = -1.0;
+          y[pos] = -1.0;
         } else {
-          cb[pos] = 0.0;
+          y[pos] = 0.0;
         }
       } else {
-        cb[pos] = cost_[col];
+        y[pos] = cost_[col];
       }
     }
-    if (sparse) {
-      // BTRAN as row-axpy: skip every basic position with zero phase cost. In
-      // phase 2, most basic columns are zero-cost slacks/auxiliaries, so this
-      // is O(nnz(cb) * m) instead of O(m^2).
-      std::fill(y.begin(), y.end(), 0.0);
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        double c = cb[pos];
-        if (c == 0.0) {
-          continue;
-        }
-        const double* row = &binv_[static_cast<size_t>(pos) * m_];
-        for (int32_t i = 0; i < m_; ++i) {
-          y[i] += c * row[i];
-        }
-      }
-    } else {
-      for (int32_t i = 0; i < m_; ++i) {
-        double sum = 0.0;
-        for (int32_t pos = 0; pos < m_; ++pos) {
-          if (cb[pos] != 0.0) {
-            sum += cb[pos] * binv_[static_cast<size_t>(pos) * m_ + i];
-          }
-        }
-        y[i] = sum;
-      }
-    }
+    factor_.Btran(y);
 
     // Reduced-cost pricing of one column: returns its violation (0 when not
     // an improving direction) and the movement direction.
@@ -899,11 +798,9 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
           entering = j;
           entering_dir = dir;
         }
-        if (sparse) {
-          scored.push_back({violation, j});
-        }
+        scored.push_back({violation, j});
       }
-      if (sparse && !bland) {
+      if (!bland) {
         // Keep the most violated columns as the next candidate list.
         size_t keep = std::min(scored.size(),
                                static_cast<size_t>(std::max(1, options_.pricing_candidates)));
@@ -916,7 +813,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
       }
     };
 
-    if (!sparse || bland) {
+    if (bland) {
       full_scan();
     } else if (refresh_candidates || candidates.empty() ||
                (options_.pricing_refresh_interval > 0 &&
@@ -953,9 +850,9 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     }
 
     if (entering < 0) {
-      // No improving direction for the current phase objective. On the sparse
-      // path this is only ever reached after a full scan, so the optimality /
-      // infeasibility claim has the same strength as the dense reference.
+      // No improving direction for the current phase objective. This is only
+      // ever reached after a full scan, so the optimality / infeasibility
+      // claim never rests on a stale candidate list.
       if (phase1) {
         result.status = LpStatus::kInfeasible;
         result.iterations = iter;
@@ -964,7 +861,7 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
       break;  // Optimal.
     }
 
-    Ftran(entering, alpha, sparse ? &alpha_nz : nullptr);
+    Ftran(entering, alpha, alpha_nz);
 
     // --- Ratio test. Basic k changes at rate -dir * alpha_k per unit of the
     // entering variable's movement. In phase 1, an infeasible basic blocks
@@ -1018,14 +915,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
         best_pivot_mag = std::fabs(a);
       }
     };
-    if (sparse) {
-      for (int32_t pos : alpha_nz) {
-        ratio_test(pos);
-      }
-    } else {
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        ratio_test(pos);
-      }
+    for (int32_t pos : alpha_nz) {
+      ratio_test(pos);
     }
 
     // Entering variable's own bound range can also limit the step.
@@ -1056,16 +947,8 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     // --- Apply the move. ---
     double delta = static_cast<double>(entering_dir) * step;
     if (delta != 0.0) {
-      if (sparse) {
-        for (int32_t pos : alpha_nz) {
-          value_[basis_[pos]] -= alpha[pos] * delta;
-        }
-      } else {
-        for (int32_t pos = 0; pos < m_; ++pos) {
-          if (alpha[pos] != 0.0) {
-            value_[basis_[pos]] -= alpha[pos] * delta;
-          }
-        }
+      for (int32_t pos : alpha_nz) {
+        value_[basis_[pos]] -= alpha[pos] * delta;
       }
       value_[entering] += delta;
     }
@@ -1090,50 +973,19 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     basis_pos_[entering] = leaving_pos;
     status_[entering] = ColStatus::kBasic;
 
-    // Product-form update of the dense inverse: row ops with the eta column.
+    // Product-form update: append the eta column to the factor.
     double pivot = alpha[leaving_pos];
-    double* pivot_row = &binv_[static_cast<size_t>(leaving_pos) * m_];
-    double inv_pivot = 1.0 / pivot;
-    for (int32_t i = 0; i < m_; ++i) {
-      pivot_row[i] *= inv_pivot;
-    }
-    if (sparse) {
-      for (int32_t pos : alpha_nz) {
-        if (pos == leaving_pos) {
-          continue;
-        }
-        double factor = alpha[pos];
-        double* row = &binv_[static_cast<size_t>(pos) * m_];
-        for (int32_t i = 0; i < m_; ++i) {
-          row[i] -= factor * pivot_row[i];
-        }
-      }
-      eta_fill += static_cast<double>(alpha_nz.size());
-      result.eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
-    } else {
-      int64_t touched = 0;
-      for (int32_t pos = 0; pos < m_; ++pos) {
-        if (pos == leaving_pos || alpha[pos] == 0.0) {
-          continue;
-        }
-        double factor = alpha[pos];
-        double* row = &binv_[static_cast<size_t>(pos) * m_];
-        for (int32_t i = 0; i < m_; ++i) {
-          row[i] -= factor * pivot_row[i];
-        }
-        ++touched;
-      }
-      eta_fill += static_cast<double>(touched + 1);
-      result.eta_nonzeros += touched + 1;
-    }
+    factor_.Update(leaving_pos, alpha, alpha_nz);
+    eta_fill += static_cast<double>(alpha_nz.size());
+    result.eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
     ++etas_since_refactor_;
 
     bool need_refactor = ++pivots_since_refactor >= options_.refactor_interval;
     bool adaptive = false;
-    if (sparse && !need_refactor) {
-      // Adaptive cadence: refactor early once the accumulated eta fill-in
-      // rivals the O(m^2) of a rebuild's payoff, or when a small pivot
-      // (relative to its column) signals the inverse is drifting.
+    if (!need_refactor) {
+      // Adaptive cadence: refactor early once the eta file's fill-in makes
+      // every solve pay more than a rebuild, or when a small pivot (relative
+      // to its column) signals the factorization is drifting.
       if (eta_fill > options_.eta_growth_limit * static_cast<double>(m_)) {
         need_refactor = true;
         adaptive = true;
@@ -1165,12 +1017,12 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     return result;
   }
 
-  // Clean pass: refactorize and recompute values to wash out inverse drift,
+  // Clean pass: refactorize and recompute values to wash out eta drift,
   // then verify primal feasibility of the claimed optimum. A warm re-solve
   // that took only a handful of pivots since the last rebuild carries
   // negligible drift — far under what the in-loop adaptive cadence tolerates
-  // between rebuilds — so the O(m^3) refactorization is skipped when the
-  // feasibility check already passes on the current inverse. This is what
+  // between rebuilds — so the refactorization is skipped when the
+  // feasibility check already passes on the current factor. This is what
   // keeps a one-pivot dual re-solve cheaper than the model rebuild it avoids.
   bool clean = options_.clean_pass_eta_limit > 0 &&
                etas_since_refactor_ <= options_.clean_pass_eta_limit &&
@@ -1197,19 +1049,12 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
     result.x[j] = value_[j];
   }
   result.objective = model.Objective(result.x);
-  // Final duals priced with the true costs (row-axpy; cost_ is sparse over
-  // the basis in both kernel modes).
-  result.duals.assign(m_, 0.0);
+  // Final duals priced with the true costs.
+  result.duals.resize(m_);
   for (int32_t pos = 0; pos < m_; ++pos) {
-    double c = cost_[basis_[pos]];
-    if (c == 0.0) {
-      continue;
-    }
-    const double* row = &binv_[static_cast<size_t>(pos) * m_];
-    for (int32_t i = 0; i < m_; ++i) {
-      result.duals[i] += c * row[i];
-    }
+    result.duals[pos] = cost_[basis_[pos]];
   }
+  factor_.Btran(result.duals);
   return result;
 }
 

@@ -182,5 +182,57 @@ TEST(RepairCountsTest, DrawsFromPartiallyUsedClasses) {
   EXPECT_GE(effective[0] + 1e-9, 20.0);
 }
 
+TEST(RepairCountsTest, FillsStarvedSharedBufferFromDonorWithSurplus) {
+  // Every server of one hardware type is bound to reservation "a", which
+  // needs all but two of them. That type's one-server shared buffer has no
+  // free supply left: the repair must move one server over from "a", which
+  // still covers its C_r without it, instead of leaving the buffer empty.
+  GreedyEnv env;
+  std::vector<std::vector<ServerId>> by_type(env.fleet.catalog.size());
+  for (const Server& s : env.fleet.topology.servers()) {
+    by_type[s.type].push_back(s.id);
+  }
+  size_t type = 0;
+  for (size_t t = 1; t < by_type.size(); ++t) {
+    if (by_type[t].size() > by_type[type].size()) {
+      type = t;
+    }
+  }
+  const double population = static_cast<double>(by_type[type].size());
+  ASSERT_GE(population, 4.0);
+  std::vector<double> only_type(env.fleet.catalog.size(), 0.0);
+  only_type[type] = 1.0;
+
+  ReservationSpec buffer;
+  buffer.name = "shared-buffer/starved";
+  buffer.capacity_rru = 1.0;
+  buffer.rru_per_type = only_type;
+  buffer.needs_correlated_buffer = false;
+  buffer.is_shared_random_buffer = true;
+  ReservationId buffer_id = *env.registry.Create(buffer);
+  ReservationSpec donor;
+  donor.name = "a";
+  donor.capacity_rru = population - 2.0;
+  donor.rru_per_type = only_type;
+  donor.needs_correlated_buffer = false;
+  ReservationId donor_id = *env.registry.Create(donor);
+  for (ServerId id : by_type[type]) {
+    env.broker->SetCurrent(id, donor_id);
+  }
+
+  auto b = env.Prepare();
+  auto counts = BuildInitialCounts(b.input, b.classes, b.built);
+  std::map<ReservationId, double> held;
+  for (size_t k = 0; k < counts.size(); ++k) {
+    const auto& av = b.built.assignment_vars[k];
+    const EquivalenceClass& cls = b.classes[static_cast<size_t>(av.class_index)];
+    const ReservationSpec& spec = b.input.reservations[static_cast<size_t>(av.reservation_index)];
+    held[spec.id] += spec.ValueOfType(cls.type) * counts[k];
+  }
+  EXPECT_GE(held[buffer_id], 1.0 - 1e-9);
+  EXPECT_GE(held[donor_id], population - 2.0 - 1e-9);
+  EXPECT_LE(held[buffer_id] + held[donor_id], population + 1e-9);
+}
+
 }  // namespace
 }  // namespace ras

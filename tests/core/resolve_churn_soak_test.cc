@@ -16,6 +16,7 @@
 #include "src/core/async_solver.h"
 #include "src/core/state_io.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace ras {
@@ -134,6 +135,9 @@ TEST(ResolveChurnSoakTest, FiftyRoundsOfChurnMatchFromScratchBitForBit) {
   AsyncSolver cold_solver(SoakConfig(/*incremental=*/false));
   Rng inc_rng(4242);
   Rng cold_rng(4242);
+  obs::Counter& numerical_failures =
+      obs::MetricRegistry::Default().counter("ras_simplex_numerical_failures_total", "");
+  const int64_t failures_before = numerical_failures.Value();
 
   int patched_rounds = 0;
   int skipped_rounds = 0;
@@ -176,6 +180,9 @@ TEST(ResolveChurnSoakTest, FiftyRoundsOfChurnMatchFromScratchBitForBit) {
   EXPECT_GT(patched_rounds, 0) << "no round ever patched the cached model";
   EXPECT_GT(skipped_rounds, 0) << "no quiet round ever took the skip-solve path";
   EXPECT_GT(warm_rounds, patched_rounds / 2);
+  // No LP solve of either pipeline hit a singular basis or a failed clean
+  // pass (branch-and-bound would silently drop such nodes).
+  EXPECT_EQ(numerical_failures.Value(), failures_before);
 }
 
 TEST(ResolveChurnSoakTest, RollbackFailedPersistForcesNextRoundCold) {

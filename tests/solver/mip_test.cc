@@ -12,6 +12,7 @@
 #include "src/core/reservation.h"
 #include "src/core/solve_input.h"
 #include "src/fleet/fleet_gen.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace ras {
@@ -406,9 +407,15 @@ TEST(MipTest, RasPhase1ModelProvesOptimal) {
   options.absolute_gap = 1e-4;
   // No warm start and no LP-guided heuristic: the search must find and prove
   // the optimum from the model alone.
+  obs::Counter& numerical_failures =
+      obs::MetricRegistry::Default().counter("ras_simplex_numerical_failures_total", "");
+  const int64_t failures_before = numerical_failures.Value();
   MipResult r = MipSolver(options).Solve(built.model);
   ASSERT_EQ(r.status, MipStatus::kOptimal);
   EXPECT_TRUE(built.model.IsFeasible(r.x, 1e-5));
+  // A node LP that ends NUMERICAL_FAILURE is skipped silently by the search;
+  // none may occur on the real model.
+  EXPECT_EQ(numerical_failures.Value(), failures_before);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/solver/simplex.h"
+#include "tests/solver/dense_lp_oracle.h"
 
 namespace ras {
 namespace {
@@ -119,8 +122,8 @@ TEST(ModelTest, CompressedColumnsSumsDuplicatePairs) {
 
 TEST(ModelTest, DuplicateCoefficientsSolveIdenticallyDenseAndSparse) {
   // min -x - y  s.t.  (1+1)x + y <= 4, y <= 2, with the x coefficient split
-  // across two AddCoefficient calls. Dense and CSC paths must both see the
-  // merged coefficient: optimum at x = 1, y = 2.
+  // across two AddCoefficient calls. The dense oracle (row entries) and the
+  // simplex (CSC) must both see the merged coefficient: optimum at x = 1, y = 2.
   auto build = [] {
     Model m;
     VarId x = m.AddContinuous(0, 10, -1.0);
@@ -132,15 +135,17 @@ TEST(ModelTest, DuplicateCoefficientsSolveIdenticallyDenseAndSparse) {
     return m;
   };
   Model m = build();
-  for (bool sparse : {false, true}) {
-    LpOptions options;
-    options.use_sparse_kernels = sparse;
-    LpResult result = SimplexSolver(options).Solve(m);
-    ASSERT_EQ(result.status, LpStatus::kOptimal) << "sparse=" << sparse;
-    EXPECT_NEAR(result.x[0], 1.0, 1e-9) << "sparse=" << sparse;
-    EXPECT_NEAR(result.x[1], 2.0, 1e-9) << "sparse=" << sparse;
-    EXPECT_NEAR(result.objective, -3.0, 1e-9) << "sparse=" << sparse;
-  }
+  auto expect_optimum = [](LpStatus status, const std::vector<double>& x, double objective,
+                           const char* name) {
+    ASSERT_EQ(status, LpStatus::kOptimal) << name;
+    EXPECT_NEAR(x[0], 1.0, 1e-9) << name;
+    EXPECT_NEAR(x[1], 2.0, 1e-9) << name;
+    EXPECT_NEAR(objective, -3.0, 1e-9) << name;
+  };
+  DenseLpResult dense = SolveDenseLp(m);
+  expect_optimum(dense.status, dense.x, dense.objective, "dense");
+  LpResult sparse = SimplexSolver().Solve(m);
+  expect_optimum(sparse.status, sparse.x, sparse.objective, "sparse");
 }
 
 TEST(ModelTest, MemoryBytesGrowsWithSize) {

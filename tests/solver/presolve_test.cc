@@ -11,6 +11,7 @@
 #include "src/solver/presolve.h"
 #include "src/solver/simplex.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_lp_oracle.h"
 
 namespace ras {
 namespace {
@@ -233,8 +234,8 @@ Model RandomReducibleLp(Rng& rng) {
 }
 
 TEST(PresolveTest, FuzzPresolveMatchesUnreducedDenseOracle) {
-  // >= 100 random LPs: the presolved sparse solve must agree with the
-  // unreduced dense reference on status, on the objective, and produce a
+  // >= 100 random LPs: the presolved solve must agree with the unreduced
+  // dense reference (dense_lp_oracle.h) on status, on the objective, and produce a
   // primal-feasible full-length point.
   Rng rng(20260807);
   int optimal = 0;
@@ -243,13 +244,9 @@ TEST(PresolveTest, FuzzPresolveMatchesUnreducedDenseOracle) {
   for (int trial = 0; trial < 140; ++trial) {
     Model m = RandomReducibleLp(rng);
 
-    LpOptions oracle_options;
-    oracle_options.use_sparse_kernels = false;
-    oracle_options.presolve = false;
-    oracle_options.dual_resolve = false;
-    LpResult oracle = SimplexSolver(oracle_options).Solve(m);
+    DenseLpResult oracle = SolveDenseLp(m);
 
-    LpOptions pre_options;  // Defaults: sparse kernels + presolve on.
+    LpOptions pre_options;  // Defaults: presolve on.
     LpResult pre = SimplexSolver(pre_options).Solve(m);
 
     ASSERT_EQ(oracle.status, pre.status)

@@ -1,8 +1,9 @@
-// Randomized differential test: the sparse kernel path (CSC storage, partial
-// pricing, adaptive refactorization) against the dense reference simplex.
-// Both are exact algorithms over the same model, so on every instance they
-// must agree on status, and on optimal instances on the objective to within
-// numerical tolerance (the optimal vertex itself may differ under degeneracy).
+// Randomized differential test: SimplexSolver (sparse LU with eta updates,
+// partial pricing, adaptive refactorization) against the dense reference
+// simplex in dense_lp_oracle.h, which shares no code with it. Both are exact
+// algorithms over the same model, so on every instance they must agree on
+// status, and on optimal instances on the objective to within numerical
+// tolerance (the optimal vertex itself may differ under degeneracy).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_lp_oracle.h"
 
 namespace ras {
 namespace {
@@ -74,12 +76,9 @@ TEST(SparseDenseFuzzTest, SparseKernelsMatchDenseReference) {
   for (int trial = 0; trial < 120; ++trial) {
     Model m = RandomLp(rng);
 
-    LpOptions dense_options;
-    dense_options.use_sparse_kernels = false;
-    LpResult dense = SimplexSolver(dense_options).Solve(m);
+    DenseLpResult dense = SolveDenseLp(m);
 
     LpOptions sparse_options;
-    sparse_options.use_sparse_kernels = true;
     // Tiny candidate list and frequent refresh: maximize partial-pricing
     // churn (stale candidates, forced full-scan fallbacks).
     sparse_options.pricing_candidates = 4;
@@ -116,12 +115,9 @@ TEST(SparseDenseFuzzTest, AdaptiveRefactorizationTriggersAndStaysCorrect) {
   for (int trial = 0; trial < 20; ++trial) {
     Model m = RandomLp(rng);
 
-    LpOptions dense_options;
-    dense_options.use_sparse_kernels = false;
-    LpResult dense = SimplexSolver(dense_options).Solve(m);
+    DenseLpResult dense = SolveDenseLp(m);
 
     LpOptions tight;
-    tight.use_sparse_kernels = true;
     tight.eta_growth_limit = 0.0;
     LpResult sparse = SimplexSolver(tight).Solve(m);
 
@@ -139,9 +135,7 @@ TEST(SparseDenseFuzzTest, AdaptiveRefactorizationTriggersAndStaysCorrect) {
 TEST(SparseDenseFuzzTest, InstrumentationCountersPopulated) {
   Rng rng(4242);
   Model m = RandomLp(rng);
-  LpOptions options;
-  options.use_sparse_kernels = true;
-  LpResult result = SimplexSolver(options).Solve(m);
+  LpResult result = SimplexSolver().Solve(m);
   if (result.status == LpStatus::kOptimal) {
     EXPECT_GE(result.refactorizations, 1);  // The initial factorization counts.
     EXPECT_GE(result.full_pricing_scans, 1);
