@@ -136,6 +136,30 @@ class ObjectiveState {
            move_cost_[k] * std::max(0.0, built_.initial_counts[k] - counts_[k]);
   }
 
+  // Every value ApplyDelta(k, ·) writes. A rejected proposal restores these
+  // instead of applying the negated delta, whose rounding residue would drift
+  // the state away from the cached reservation costs.
+  struct Saved {
+    double total, msb_rru, dc_rru, used, count;
+  };
+  Saved Save(size_t k) const {
+    const auto& av = built_.assignment_vars[k];
+    const EquivalenceClass& cls = classes_[static_cast<size_t>(av.class_index)];
+    size_t r = static_cast<size_t>(av.reservation_index);
+    return {total_[r], msb_rru_[r][cls.msb], dc_rru_[r][cls.dc],
+            used_[static_cast<size_t>(av.class_index)], counts_[k]};
+  }
+  void Restore(size_t k, const Saved& saved) {
+    const auto& av = built_.assignment_vars[k];
+    const EquivalenceClass& cls = classes_[static_cast<size_t>(av.class_index)];
+    size_t r = static_cast<size_t>(av.reservation_index);
+    total_[r] = saved.total;
+    msb_rru_[r][cls.msb] = saved.msb_rru;
+    dc_rru_[r][cls.dc] = saved.dc_rru;
+    used_[static_cast<size_t>(av.class_index)] = saved.used;
+    counts_[k] = saved.count;
+  }
+
   // Applies `delta` units to variable k (class supply and aggregates).
   void ApplyDelta(size_t k, double delta, bool into_counts = true) {
     if (delta == 0.0) {
@@ -217,6 +241,13 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
         static_cast<int>(k));
   }
 
+  // ReservationCost(r) of the current state: a proposal's `before` reads it
+  // instead of re-pricing, and an accepted move stores its `after` terms.
+  std::vector<double> reservation_cost(input.reservations.size());
+  for (size_t r = 0; r < reservation_cost.size(); ++r) {
+    reservation_cost[r] = state.ReservationCost(r);
+  }
+
   int64_t stall = 0;
   double current = result.initial_objective;
   while (result.proposals < options.max_proposals && stall < options.stall_limit) {
@@ -279,34 +310,43 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
 
     size_t r1 = static_cast<size_t>(av.reservation_index);
     size_t r2 = static_cast<size_t>(built.assignment_vars[k2].reservation_index);
-    double before = state.ReservationCost(r1) + state.VarCost(k);
+    const bool two_reservations = k2 != k && r2 != r1;
+    double before = reservation_cost[r1] + state.VarCost(k);
     if (k2 != k) {
-      if (r2 != r1) {
-        before += state.ReservationCost(r2);
+      if (two_reservations) {
+        before += reservation_cost[r2];
       }
       before += state.VarCost(k2);
     }
+    // Both snapshots precede both deltas, so restoring them in any order
+    // puts back the pre-proposal values even where k and k2 share a slot.
+    const ObjectiveState::Saved saved1 = state.Save(k);
+    const ObjectiveState::Saved saved2 = state.Save(k2);
     state.ApplyDelta(k, d1);
     if (k2 != k) {
       state.ApplyDelta(k2, d2);
     }
-    double after = state.ReservationCost(r1) + state.VarCost(k);
+    const double after_r1 = state.ReservationCost(r1);
+    const double after_r2 = two_reservations ? state.ReservationCost(r2) : 0.0;
+    double after = after_r1 + state.VarCost(k);
     if (k2 != k) {
-      if (r2 != r1) {
-        after += state.ReservationCost(r2);
+      if (two_reservations) {
+        after += after_r2;
       }
       after += state.VarCost(k2);
     }
 
     if (after < before - 1e-9) {
       current += after - before;
+      reservation_cost[r1] = after_r1;
+      if (two_reservations) {
+        reservation_cost[r2] = after_r2;
+      }
       ++result.accepted;
       stall = 0;
     } else {
-      state.ApplyDelta(k, -d1);  // Revert.
-      if (k2 != k) {
-        state.ApplyDelta(k2, -d2);
-      }
+      state.Restore(k2, saved2);  // Revert, bit for bit.
+      state.Restore(k, saved1);
       ++stall;
     }
   }

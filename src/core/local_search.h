@@ -7,13 +7,18 @@
 // needs to perform near-realtime allocation in seconds."
 //
 // This is that alternative backend, specialized to the RAS assignment
-// structure: single-unit moves of equivalence-class servers between
+// structure: moves of 1, 2, 4 or 8 equivalence-class servers between
 // reservations (or the free pool), greedily accepted on exact incremental
 // objective deltas over the same cost model the MIP optimizes (Expressions
-// 1-7 plus the repo's anti-hoarding term). It trades solution quality for
-// strictly bounded runtime — use it where solve latency matters more than
-// the last few percent of objective (AsyncSolver exposes it via
-// SolverConfig::backend).
+// 1-7 plus the repo's anti-hoarding term). Each reservation's aggregate cost
+// (shortfall, buffer, spread, hoarding, affinity and quorum terms) is cached:
+// a proposal prices only the one or two reservations it touches after the
+// move, an accepted move overwrites their cached costs, and a rejected one
+// restores the aggregates it touched bit for bit, so the cache never drifts
+// from the state it describes. It trades solution quality for strictly
+// bounded runtime — use it where solve latency matters more than the last
+// few percent of objective (AsyncSolver exposes it via
+// SolverConfig::backend); the MIP path also runs it to polish its warm start.
 
 #ifndef RAS_SRC_CORE_LOCAL_SEARCH_H_
 #define RAS_SRC_CORE_LOCAL_SEARCH_H_

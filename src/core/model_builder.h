@@ -32,7 +32,7 @@ namespace ras {
 // picks a MIP solver for RAS and local search for near-realtime clients).
 enum class SolverBackend {
   kMip,          // LP-relaxation branch-and-bound (the paper's choice for RAS).
-  kLocalSearch,  // Greedy single-unit moves; bounded seconds, lower quality.
+  kLocalSearch,  // Greedy moves of 1-8 servers; bounded seconds, lower quality.
 };
 
 struct SolverConfig {

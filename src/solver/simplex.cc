@@ -73,6 +73,27 @@ void SimplexSolver::BuildColumns(const Model& model, const std::vector<BoundOver
   csc_rows_ = std::move(csc.rows);
   csc_values_ = std::move(csc.values);
 
+  // Row-major copy of the same matrix, columns ascending within each row: the
+  // dual kernel forms its pivot row from it.
+  const size_t nnz = csc_rows_.size();
+  csr_starts_.assign(m_ + 1, 0);
+  for (int32_t r : csc_rows_) {
+    ++csr_starts_[r + 1];
+  }
+  for (int32_t i = 0; i < m_; ++i) {
+    csr_starts_[i + 1] += csr_starts_[i];
+  }
+  csr_cols_.resize(nnz);
+  csr_values_.resize(nnz);
+  std::vector<int32_t> cursor(csr_starts_.begin(), csr_starts_.end() - 1);
+  for (int32_t j = 0; j < n_; ++j) {
+    for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
+      int32_t at = cursor[csc_rows_[k]]++;
+      csr_cols_[at] = j;
+      csr_values_[at] = csc_values_[k];
+    }
+  }
+
   lb_.resize(total_);
   ub_.resize(total_);
   cost_.assign(total_, 0.0);
@@ -152,7 +173,8 @@ bool SimplexSolver::Refactorize() {
 void SimplexSolver::ComputeBasicValues() {
   // x_B = B^-1 * r where r_i = -(sum over nonbasic j of a_ij x_j). The rhs is
   // zero because every row's constant lives in its slack bounds.
-  std::vector<double> r(m_, 0.0);
+  std::vector<double>& r = rhs_;
+  r.assign(m_, 0.0);
   for (int32_t j = 0; j < n_; ++j) {
     if (status_[j] == ColStatus::kBasic || value_[j] == 0.0) {
       continue;
@@ -476,27 +498,36 @@ bool SimplexSolver::ImportBasisInternal(const Model& model, const SimplexBasis& 
   return true;
 }
 
-bool SimplexSolver::DualFeasibleBasis(double tol) const {
+void SimplexSolver::PriceTrueCosts() {
   // y = B^-T c_B with the TRUE costs.
-  std::vector<double> y(m_);
+  y_.resize(m_);
   for (int32_t pos = 0; pos < m_; ++pos) {
-    y[pos] = cost_[basis_[pos]];
+    y_[pos] = cost_[basis_[pos]];
   }
-  factor_.Btran(y);
+  factor_.Btran(y_);
+  d_.resize(total_);
   for (int32_t j = 0; j < total_; ++j) {
     if (status_[j] == ColStatus::kBasic || lb_[j] == ub_[j]) {
-      continue;  // Fixed columns cannot move: any reduced-cost sign is fine.
+      d_[j] = 0.0;  // Fixed columns never enter: their reduced cost is unused.
+      continue;
     }
     double yaj;
     if (j >= n_) {
-      yaj = -y[j - n_];
+      yaj = -y_[j - n_];
     } else {
       yaj = 0.0;
       for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
-        yaj += y[csc_rows_[k]] * csc_values_[k];
+        yaj += y_[csc_rows_[k]] * csc_values_[k];
       }
     }
-    double d = cost_[j] - yaj;
+    d_[j] = cost_[j] - yaj;
+  }
+}
+
+bool SimplexSolver::DualFeasibleBasis(double tol) {
+  PriceTrueCosts();
+  for (int32_t j = 0; j < total_; ++j) {
+    const double d = d_[j];
     switch (status_[j]) {
       case ColStatus::kAtLower:
         if (d < -tol) {
@@ -529,11 +560,13 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
   // costing more than the cold solve the caller would otherwise run.
   const int64_t max_iters = 50 + 2LL * m_;
 
-  std::vector<double> y(m_);
-  std::vector<double> rho_row(m_);
-  std::vector<double> alpha_col(m_);
-  std::vector<int32_t> alpha_nz;
-  alpha_nz.reserve(m_);
+  // d_ holds the reduced costs DualFeasibleBasis priced. The pivot row is
+  // accumulated densely in row_alpha_ over the columns listed in row_nz_;
+  // both are reset per call here and per pivot below, never by a full sweep.
+  rho_.resize(m_);
+  row_alpha_.assign(total_, 0.0);
+  row_mark_.assign(total_, 0);
+  row_nz_.clear();
   int pivots_since_refactor = 0;
   double eta_fill = 0.0;
 
@@ -561,44 +594,52 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     }
     ++accum->dual_iterations;
 
-    // rho = B^-T e_r is the leaving position's row of B^-1. Reduced costs
-    // are re-priced from scratch each pivot (same BTRAN as the primal loop)
-    // rather than updated incrementally; at this iteration budget, exactness
-    // beats bookkeeping.
-    std::fill(rho_row.begin(), rho_row.end(), 0.0);
-    rho_row[leaving_pos] = 1.0;
-    factor_.Btran(rho_row);
-    for (int32_t pos = 0; pos < m_; ++pos) {
-      y[pos] = cost_[basis_[pos]];
+    // rho = B^-T e_r is the leaving position's row of B^-1, and the pivot row
+    // alpha_r = rho·[A -I] is scattered row-wise over rho's nonzero rows (in
+    // ascending row order, so every alpha_rj sums its terms in the same order
+    // a column-wise dot product would). Only the columns those rows touch can
+    // have alpha_rj != 0; the ratio test and the reduced-cost update visit
+    // just them.
+    for (int32_t j : row_nz_) {
+      row_alpha_[j] = 0.0;
+      row_mark_[j] = 0;
     }
-    factor_.Btran(y);
+    row_nz_.clear();
+    std::fill(rho_.begin(), rho_.end(), 0.0);
+    rho_[leaving_pos] = 1.0;
+    factor_.Btran(rho_);
+    for (int32_t i = 0; i < m_; ++i) {
+      const double ri = rho_[i];
+      if (ri == 0.0) {
+        continue;
+      }
+      for (int32_t k = csr_starts_[i]; k < csr_starts_[i + 1]; ++k) {
+        int32_t j = csr_cols_[k];
+        if (!row_mark_[j]) {
+          row_mark_[j] = 1;
+          row_nz_.push_back(j);
+        }
+        row_alpha_[j] += ri * csr_values_[k];
+      }
+      row_mark_[n_ + i] = 1;
+      row_nz_.push_back(n_ + i);
+      row_alpha_[n_ + i] = -ri;
+    }
 
     // --- Bounded-variable dual ratio test. The leaving variable moves to its
     // violated bound; entering j must move the right way, which fixes the
     // sign of alpha_rj per status. Min |d_j / alpha_rj| keeps every other
-    // reduced cost on the legal side; ties prefer the larger pivot. ---
+    // reduced cost on the legal side; ties prefer the larger pivot, then the
+    // lower column index (what an ascending scan picks; row_nz_ is in
+    // scatter order, not column order). ---
     int32_t entering = -1;
     double best_ratio = kInf;
     double best_mag = 0.0;
-    for (int32_t j = 0; j < total_; ++j) {
+    for (int32_t j : row_nz_) {
       if (status_[j] == ColStatus::kBasic || lb_[j] == ub_[j]) {
         continue;
       }
-      double arj;
-      double yaj;
-      if (j >= n_) {
-        arj = -rho_row[j - n_];
-        yaj = -y[j - n_];
-      } else {
-        arj = 0.0;
-        yaj = 0.0;
-        for (int32_t k = csc_starts_[j]; k < csc_starts_[j + 1]; ++k) {
-          int32_t r = csc_rows_[k];
-          double v = csc_values_[k];
-          arj += rho_row[r] * v;
-          yaj += y[r] * v;
-        }
-      }
+      double arj = row_alpha_[j];
       double a_t = above ? arj : -arj;
       bool eligible = (status_[j] == ColStatus::kAtLower && a_t > ptol) ||
                       (status_[j] == ColStatus::kAtUpper && a_t < -ptol) ||
@@ -606,14 +647,15 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
       if (!eligible) {
         continue;
       }
-      double ratio = (cost_[j] - yaj) / a_t;
+      double ratio = d_[j] / a_t;
       if (ratio < 0.0) {
         ratio = 0.0;  // Tolerance dust on a dual-degenerate column.
       }
+      const double mag = std::fabs(arj);
       if (ratio < best_ratio - 1e-12 ||
-          (ratio < best_ratio + 1e-12 && std::fabs(arj) > best_mag)) {
+          (ratio < best_ratio + 1e-12 && (mag > best_mag || (mag == best_mag && j < entering)))) {
         best_ratio = ratio;
-        best_mag = std::fabs(arj);
+        best_mag = mag;
         entering = j;
       }
     }
@@ -623,12 +665,23 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
       return true;
     }
 
-    Ftran(entering, alpha_col, alpha_nz);
-    double pivot = alpha_col[leaving_pos];
+    Ftran(entering, alpha_, alpha_nz_);
+    double pivot = alpha_[leaving_pos];
     if (std::fabs(pivot) < ptol) {
       // FTRAN disagrees with the BTRAN row: the factor has drifted. Bail to
       // the primal verifier, which starts with its own clean refactorization.
       return true;
+    }
+
+    // --- Dual step: y moves by theta_d·rho, so every nonbasic reduced cost
+    // moves by -theta_d·alpha_rj. The entering column's drops to zero and the
+    // leaving column (alpha_r = 1 on it) takes -theta_d, the sign its new
+    // bound status requires. Basic columns keep d = 0. ---
+    const double theta_d = d_[entering] / row_alpha_[entering];
+    for (int32_t j : row_nz_) {
+      if (status_[j] != ColStatus::kBasic) {
+        d_[j] -= theta_d * row_alpha_[j];
+      }
     }
 
     // --- Primal step: leaving lands exactly on its violated bound; the
@@ -637,8 +690,8 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     int32_t leaving_col = basis_[leaving_pos];
     double target = above ? ub_[leaving_col] : lb_[leaving_col];
     double delta = (value_[leaving_col] - target) / pivot;
-    for (int32_t pos : alpha_nz) {
-      value_[basis_[pos]] -= alpha_col[pos] * delta;
+    for (int32_t pos : alpha_nz_) {
+      value_[basis_[pos]] -= alpha_[pos] * delta;
     }
     value_[entering] += delta;
     value_[leaving_col] = target;
@@ -648,11 +701,13 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
     basis_[leaving_pos] = entering;
     basis_pos_[entering] = leaving_pos;
     status_[entering] = ColStatus::kBasic;
+    d_[leaving_col] = -theta_d;
+    d_[entering] = 0.0;
 
     // Product-form eta update, identical cadence to the primal loop.
-    factor_.Update(leaving_pos, alpha_col, alpha_nz);
-    eta_fill += static_cast<double>(alpha_nz.size());
-    accum->eta_nonzeros += static_cast<int64_t>(alpha_nz.size());
+    factor_.Update(leaving_pos, alpha_, alpha_nz_);
+    eta_fill += static_cast<double>(alpha_nz_.size());
+    accum->eta_nonzeros += static_cast<int64_t>(alpha_nz_.size());
     ++etas_since_refactor_;
 
     bool need_refactor = ++pivots_since_refactor >= options_.refactor_interval;
@@ -677,6 +732,7 @@ bool SimplexSolver::RunDualSimplex(LpResult* accum) {
         return false;  // Caller falls back to a cold solve.
       }
       ComputeBasicValues();
+      PriceTrueCosts();  // Fresh factor, fresh prices: drop the updates' drift.
     }
   }
   return true;  // Budget exhausted; the primal verifier finishes the job.
@@ -691,10 +747,10 @@ LpResult SimplexSolver::RunSimplex(const Model& model) {
                           ? options_.max_iterations
                           : 200 + 40LL * (static_cast<int64_t>(m_) + total_);
 
-  std::vector<double> y(m_);        // Pricing duals.
-  std::vector<double> alpha(m_);    // FTRAN result.
-  std::vector<int32_t> alpha_nz;    // FTRAN nonzero positions.
-  alpha_nz.reserve(m_);
+  std::vector<double>& y = y_;                 // Pricing duals.
+  std::vector<double>& alpha = alpha_;         // FTRAN result.
+  std::vector<int32_t>& alpha_nz = alpha_nz_;  // FTRAN nonzero positions.
+  y.resize(m_);
   std::vector<int32_t> candidates;  // Partial-pricing candidate list.
   std::vector<std::pair<double, int32_t>> scored;  // Full-scan scratch.
   bool refresh_candidates = true;

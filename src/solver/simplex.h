@@ -195,18 +195,28 @@ class SimplexSolver {
   // and the reduced model's inner solve both use it).
   LpResult SolveDirect(const Model& model, const std::vector<BoundOverride>& overrides);
 
+  // Prices every column with the true objective from scratch: y_ = B^-T c_B
+  // and d_j = c_j - y_·a_j (0 for basic and fixed columns).
+  void PriceTrueCosts();
   // True when every nonbasic column's reduced cost, priced with the true
   // objective, has the sign its status requires (within tol): the retained
-  // basis can be re-optimized with dual pivots.
-  bool DualFeasibleBasis(double tol) const;
-  // Bounded-variable dual simplex from the current (dual-feasible) basis:
-  // picks the most-violated basic variable, prices its BTRAN row against all
-  // nonbasic columns with the dual ratio test, and pivots until primal
-  // feasibility or a conservative iteration budget. Counters accumulate into
-  // `accum`. Returns false only when the basis factorization broke down
-  // mid-flight (the caller must fall back to a cold solve); early exits for
-  // budget/stall reasons return true and leave a valid basis for the primal
-  // verifier to finish from.
+  // basis can be re-optimized with dual pivots. Leaves the prices in d_ for
+  // RunDualSimplex.
+  bool DualFeasibleBasis(double tol);
+  // Bounded-variable dual simplex from the current (dual-feasible) basis,
+  // starting from the reduced costs DualFeasibleBasis left in d_. Each pivot
+  // picks the most-violated basic variable, runs one BTRAN for its row rho of
+  // B^-1, forms the pivot row alpha_r = rho·[A -I] row-wise from the CSR copy
+  // over rho's nonzero rows only, runs the dual ratio test over the columns
+  // that row touches, and updates d in place (d_j -= theta_d·alpha_rj). Prices
+  // are recomputed from scratch after every in-loop refactorization, and the
+  // primal verifier that runs afterwards re-prices fresh and certifies
+  // optimality with a full scan. Pivots until primal feasibility or a
+  // conservative iteration budget; counters accumulate into `accum`. Returns
+  // false only when the basis factorization broke down mid-flight (the caller
+  // must fall back to a cold solve); early exits for budget/stall reasons
+  // return true and leave a valid basis for the primal verifier to finish
+  // from.
   bool RunDualSimplex(LpResult* accum);
 
   LpOptions options_;
@@ -221,6 +231,11 @@ class SimplexSolver {
   std::vector<int32_t> csc_starts_;
   std::vector<int32_t> csc_rows_;
   std::vector<double> csc_values_;
+  // The same matrix row-major (CSR), columns ascending within each row: row
+  // i's nonzeros live in csr_cols_/csr_values_[csr_starts_[i] .. +1).
+  std::vector<int32_t> csr_starts_;
+  std::vector<int32_t> csr_cols_;
+  std::vector<double> csr_values_;
 
   std::vector<double> lb_;             // Per column (structural + slack).
   std::vector<double> ub_;
@@ -230,6 +245,8 @@ class SimplexSolver {
   std::vector<ColStatus> status_;   // Per column.
   std::vector<int32_t> basis_pos_;  // Column -> row position (or -1).
   std::vector<double> value_;       // Current value per column.
+  // Reduced costs under the true objective, maintained by the dual kernel.
+  std::vector<double> d_;
   BasisFactor factor_;              // LU of the basis matrix plus eta file.
   // Basis matrix scratch in CSC form, rebuilt by every Refactorize().
   std::vector<int32_t> basis_starts_;
@@ -239,6 +256,17 @@ class SimplexSolver {
   // (across calls — a warm resolve inherits the previous solve's drift).
   // Drives the clean-pass skip (LpOptions::clean_pass_eta_limit).
   int64_t etas_since_refactor_ = 0;
+
+  // Per-solve scratch, kept to reuse capacity across the many node re-solves
+  // of one branch-and-bound search.
+  std::vector<double> y_;            // Pricing duals.
+  std::vector<double> rhs_;          // ComputeBasicValues right-hand side.
+  std::vector<double> alpha_;        // FTRAN result.
+  std::vector<int32_t> alpha_nz_;    // Its nonzero positions.
+  std::vector<double> rho_;          // Dual kernel: row of B^-1 (BTRAN of e_r).
+  std::vector<double> row_alpha_;    // Dual kernel: pivot row, per column.
+  std::vector<uint8_t> row_mark_;    // Columns present in row_nz_.
+  std::vector<int32_t> row_nz_;      // Columns the pivot row touches.
 
   // Warm-start validity: set after a successful solve; identifies the model
   // shape the retained basis belongs to.

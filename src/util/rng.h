@@ -7,6 +7,7 @@
 #ifndef RAS_SRC_UTIL_RNG_H_
 #define RAS_SRC_UTIL_RNG_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -21,7 +22,9 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // Uniform 64-bit value.
+  // Uniform 64-bit value. Next and UniformInt are defined inline below: hot
+  // loops (the local-search polish draws three per proposal) then pay no call,
+  // and UniformInt with constant bounds folds its divisions away.
   uint64_t Next();
 
   // Uniform in [0, 1).
@@ -69,8 +72,38 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+  const uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
+
+inline int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+  assert(lo <= hi);
+  // Unsigned difference: well defined even when hi - lo overflows int64_t.
+  uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  if (range == 0) {  // Full 64-bit range.
+    return static_cast<int64_t>(Next());
+  }
+  // Rejection sampling to avoid modulo bias.
+  uint64_t limit = UINT64_MAX - UINT64_MAX % range;
+  uint64_t draw;
+  do {
+    draw = Next();
+  } while (draw >= limit);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + draw % range);
+}
 
 }  // namespace ras
 

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/solver/simplex.h"
 #include "src/util/rng.h"
+#include "tests/solver/dense_lp_oracle.h"
 
 namespace ras {
 namespace {
@@ -303,6 +305,95 @@ TEST(WarmResolveTest, DualSimplexResolveMatchesFreshPrimalFieldForField) {
   // The RHS shifts must actually exercise the dual kernel, not just the
   // primal fallback, or this test proves nothing about it.
   EXPECT_GE(dual_ran, 10);
+}
+
+TEST(WarmResolveTest, BranchAndBoundChainsMatchDenseOracle) {
+  // Branch-and-bound drives one solver through long chains of node re-solves,
+  // each adding or dropping a branching bound. The dual kernel carries its
+  // reduced costs from pivot to pivot and re-prices only after a
+  // refactorization, so a refactor interval of 2 forces in-loop rebuilds on
+  // most multi-pivot re-solves. At every step, status and objective must
+  // match the dense oracle on a copy of the model with the bounds applied.
+  LpOptions options;
+  options.refactor_interval = 2;
+  int64_t dual_pivots = 0;
+  int dual_refactor_steps = 0;
+  int dual_steps = 0;
+  int64_t verifier_pivots_after_dual = 0;
+  for (int chain = 0; chain < 12; ++chain) {
+    Rng rng(9500 + static_cast<uint64_t>(chain));
+    const int n = 14 + static_cast<int>(rng.UniformInt(0, 6));
+    const int rows = 8 + static_cast<int>(rng.UniformInt(0, 4));
+    Model m = RandomLp(9600 + static_cast<uint64_t>(chain), n, rows, nullptr);
+    SimplexSolver solver(options);
+    LpResult last = solver.Solve(m);
+    ASSERT_EQ(last.status, LpStatus::kOptimal) << "chain " << chain;
+    std::vector<BoundOverride> overrides;
+    for (int step = 0; step < 14; ++step) {
+      // Backtrack after an infeasible node (or at random); otherwise branch
+      // on a variable of the last optimal point, as the MIP search would.
+      if (!overrides.empty() &&
+          (last.status != LpStatus::kOptimal || rng.Bernoulli(0.2))) {
+        overrides.pop_back();
+      } else if (last.status == LpStatus::kOptimal) {
+        VarId var = static_cast<VarId>(rng.UniformInt(0, n - 1));
+        double lb = m.variable(var).lb;
+        double ub = m.variable(var).ub;
+        for (const BoundOverride& o : overrides) {
+          if (o.var == var) {
+            lb = o.lb;
+            ub = o.ub;
+          }
+        }
+        double x = last.x[static_cast<size_t>(var)] + rng.Uniform(-0.5, 0.5);
+        if (rng.Bernoulli(0.5)) {
+          overrides.push_back(BoundOverride{var, lb, std::floor(x)});
+        } else {
+          overrides.push_back(BoundOverride{var, std::ceil(x), ub});
+        }
+      }
+      last = solver.ResolveWithBasis(m, overrides);
+
+      Model bounded = m;
+      bool empty_range = false;
+      for (const BoundOverride& o : overrides) {
+        if (o.lb > o.ub) {
+          empty_range = true;  // A branch past the variable's own bound.
+          break;
+        }
+        bounded.SetVariableBounds(o.var, o.lb, o.ub);
+      }
+      if (empty_range) {
+        ASSERT_EQ(last.status, LpStatus::kInfeasible) << "chain " << chain << " step " << step;
+        continue;
+      }
+      DenseLpResult oracle = SolveDenseLp(bounded);
+      ASSERT_EQ(last.status, oracle.status) << "chain " << chain << " step " << step;
+      if (last.status == LpStatus::kOptimal) {
+        EXPECT_NEAR(last.objective, oracle.objective, 1e-6 * (1.0 + std::fabs(oracle.objective)))
+            << "chain " << chain << " step " << step;
+        EXPECT_TRUE(bounded.IsFeasible(last.x, 1e-5)) << "chain " << chain << " step " << step;
+      }
+      if (last.used_dual_simplex && last.status == LpStatus::kOptimal) {
+        ++dual_steps;
+        verifier_pivots_after_dual += last.iterations;
+      }
+      dual_pivots += last.dual_iterations;
+      if (last.dual_iterations >= options.refactor_interval) {
+        ++dual_refactor_steps;
+      }
+    }
+  }
+  // The chains must exercise the dual kernel, including its re-pricing after
+  // an in-loop refactorization, or they prove nothing about it.
+  EXPECT_GT(dual_pivots, 0);
+  EXPECT_GT(dual_refactor_steps, 0);
+  // The verifier certifies every answer above, so a wrong reduced-cost update
+  // cannot change a status or objective; it shows up as lost dual
+  // feasibility instead. A kernel whose prices stay exact ends on an optimal
+  // basis, and the primal verifier then accepts it without a single pivot.
+  EXPECT_GT(dual_steps, 20);
+  EXPECT_EQ(verifier_pivots_after_dual, 0);
 }
 
 TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
