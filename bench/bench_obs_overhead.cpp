@@ -1,8 +1,7 @@
 // Observability overhead bench: the acceptance gate for src/obs.
 //
-// Runs the steady-state churn solve loop (same workload shape as
-// bench_round_resolve) as a fully deterministic unit — fresh broker,
-// registry, solver, and churn RNG each repetition — and repeats it
+// Runs a steady-state churn solve loop as a fully deterministic unit — fresh
+// broker, registry, solver, and churn RNG each repetition — and repeats it
 // kReps times with the metric registry + tracer enabled and kReps times
 // disabled, interleaved. Two gates:
 //

@@ -60,16 +60,8 @@ double ComputeShortfall(const SolveInput& input,
   return shortfall;
 }
 
-// Round-level reuse summary: reuse "held" for the round when every phase that
-// ran reused that way; the delta is phase 1's (region-wide) server delta.
-void SummarizeReuse(SolveStats& stats) {
-  stats.model_patched = stats.phase1.ran && stats.phase1.model_patched &&
-                        (!stats.phase2.ran || stats.phase2.model_patched);
-  stats.basis_reused = stats.phase1.ran && stats.phase1.basis_reused &&
-                       (!stats.phase2.ran || stats.phase2.basis_reused);
-  stats.solve_skipped = stats.phase1.ran && stats.phase1.solve_skipped &&
-                        (!stats.phase2.ran || stats.phase2.solve_skipped);
-  stats.delta_servers = stats.phase1.delta_servers;
+// Round-level solver-layer totals: the sums of both phases.
+void SummarizePhases(SolveStats& stats) {
   stats.dual_resolves = stats.phase1.dual_resolves + stats.phase2.dual_resolves;
   stats.dual_iterations = stats.phase1.dual_iterations + stats.phase2.dual_iterations;
   stats.presolve_rows_removed =
@@ -82,12 +74,6 @@ void RecordSolveMetrics(const SolveStats& stats) {
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   static obs::Counter& solves =
       reg.counter("ras_solver_solves_total", "Completed solves (all modes).");
-  static obs::Counter& patched =
-      reg.counter("ras_solver_model_patched_total", "Rounds that patched the cached model.");
-  static obs::Counter& basis =
-      reg.counter("ras_solver_basis_reused_total", "Rounds that restarted from a cached basis.");
-  static obs::Counter& skipped =
-      reg.counter("ras_solver_solves_skipped_total", "Rounds served by the skip-solve fast path.");
   static obs::Counter& moves =
       reg.counter("ras_solver_moves_total", "Server moves proposed by completed solves.");
   static obs::Counter& dual_resolves = reg.counter(
@@ -98,27 +84,12 @@ void RecordSolveMetrics(const SolveStats& stats) {
       "ras_solver_presolve_rows_removed_total", "Rows removed by LP presolve across solves.");
   static obs::Histogram& seconds = reg.histogram(
       "ras_solver_solve_seconds", "End-to-end solve wall time.", 0.0, 30.0, 120);
-  static obs::Histogram& delta = reg.histogram(
-      "ras_solver_delta_servers", "Round-over-round server delta (warm rounds only).", 0.0,
-      4096.0, 64);
   solves.Add();
-  if (stats.model_patched) {
-    patched.Add();
-  }
-  if (stats.basis_reused) {
-    basis.Add();
-  }
-  if (stats.solve_skipped) {
-    skipped.Add();
-  }
   moves.Add(static_cast<int64_t>(stats.moves_total));
   dual_resolves.Add(stats.dual_resolves);
   dual_iterations.Add(stats.dual_iterations);
   presolve_rows.Add(stats.presolve_rows_removed);
   seconds.Observe(stats.total_seconds);
-  if (stats.delta_servers >= 0) {
-    delta.Observe(static_cast<double>(stats.delta_servers));
-  }
 }
 
 }  // namespace
@@ -128,238 +99,86 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
                                                 bool include_rack_spread,
                                                 const std::vector<int>& subset,
                                                 const MipOptions& mip_options,
-                                                double snapshot_seconds, int phase) {
-  obs::SpanScope phase_span(obs::Tracer::Default(), phase == 2 ? "phase2" : "phase1");
+                                                double snapshot_seconds) {
+  obs::SpanScope phase_span(obs::Tracer::Default(), include_rack_spread ? "phase2" : "phase1");
   PhaseOutcome outcome;
   outcome.stats.ran = true;
   outcome.stats.timings.ras_build_s = snapshot_seconds;
 
-  const bool cache_on =
-      phase > 0 && config_.incremental_resolve && config_.backend == SolverBackend::kMip;
-  ResolveEntry* entry = cache_on ? &resolve_cache_.entry(phase, resolve_shard_) : nullptr;
-
-  // Solver build: patch the cached model in place when this round is
-  // structurally equal to the cached one, else full symmetry-reduced
-  // construction (the Figure-8 solver_build step the patch path eliminates).
+  // Solver build: full symmetry-reduced construction (Figure 8 solver_build).
   double t0 = util::MonotonicSeconds();
-  RoundDelta delta;
-  bool have_delta = false;
-  bool patched = false;
-  if (entry != nullptr && entry->valid && entry->include_rack_spread == include_rack_spread &&
-      entry->subset == subset) {
-    delta = ComputeRoundDelta(entry->input, input);
-    delta.classes_structurally_equal =
-        delta.reservations_structurally_equal && ClassStructureEqual(entry->classes, classes);
-    have_delta = true;
-    if (delta.patchable()) {
-      patched = PatchRasModel(entry->built, input, classes, config_, include_rack_spread, subset);
-    }
-  }
-  BuiltModel fresh;
-  if (!patched) {
-    fresh = BuildRasModel(input, classes, config_, include_rack_spread, subset);
-  }
-  BuiltModel& built = patched ? entry->built : fresh;
+  BuiltModel built = BuildRasModel(input, classes, config_, include_rack_spread, subset);
   outcome.stats.timings.solver_build_s = util::MonotonicSeconds() - t0;
-  outcome.stats.model_patched = patched;
-  outcome.stats.delta_servers = have_delta ? delta.delta_servers() : -1;
   outcome.stats.assignment_variables = built.num_assignment_variables();
   outcome.stats.model_rows = built.model.num_rows();
   outcome.stats.model_variables = built.model.num_variables();
   outcome.stats.memory_bytes = built.ModelMemoryBytes();
 
-  std::vector<double> local_solution;
-  const std::vector<double>* solution = nullptr;
-  std::vector<double> skip_counts;
-  SimplexBasis new_root_basis;
-  const double gap = mip_options.absolute_gap;
-
-  // Skip-solve fast path, checked before the greedy initial state so a
-  // skipped round pays for neither the greedy construction nor the MIP. With
-  // an exactly-empty delta the input is bitwise the cached round's input, and
-  // the cold pipeline is deterministic — re-solving would recompute exactly
-  // the cached incumbent. Returning it is parity-exact with no proof needed,
-  // even when the cached solve was node-limited (kFeasible); the round
-  // reports the cached round's true MIP status.
-  if (patched && delta.reservations_resized == 0 && delta.delta_servers() == 0) {
-    t0 = util::MonotonicSeconds();
-    std::vector<double> shifted;
-    if (ShiftIncumbentCounts(*entry, classes, &shifted)) {
-      std::vector<double> shifted_warm = MakeWarmStart(input, classes, built, shifted);
-      const double shifted_obj = built.model.Objective(shifted_warm);
-      if (built.model.IsFeasible(shifted_warm, mip_options.integrality_tol * 10)) {
-        local_solution = std::move(shifted_warm);
-        solution = &local_solution;
-        skip_counts = std::move(shifted);
-        outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-        outcome.stats.mip_status = entry->mip_status;
-        outcome.stats.nodes = 0;
-        outcome.stats.objective = shifted_obj;
-        outcome.stats.warm_start_objective = shifted_obj;
-        outcome.stats.best_bound = entry->best_bound;
-        outcome.stats.solve_skipped = true;
-      }
-    }
+  // Initial state: greedy warm start, polished by a short local search (the
+  // two backends compose — the search's relocate moves fix spread cheaply,
+  // and the MIP then starts from, and can only improve on, that incumbent).
+  t0 = util::MonotonicSeconds();
+  std::vector<double> counts = BuildInitialCounts(input, classes, built);
+  if (config_.backend == SolverBackend::kMip) {
+    LocalSearchOptions polish;
+    polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
+    polish.seed = 17;
+    // The greedy start is already move-minimal; cap the rejected-proposal
+    // patience so a polish with nothing to find exits in ~ms instead of
+    // grinding its full proposal budget.
+    polish.stall_limit = config_.polish_stall_limit;
+    counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
   }
+  std::vector<double> warm = MakeWarmStart(input, classes, built, counts);
+  outcome.stats.warm_start_objective = built.model.Objective(warm);
+  outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
 
-  if (solution == nullptr) {
-    // Initial state: greedy warm start, polished by a short local search (the
-    // two backends compose — the search's relocate moves fix spread cheaply,
-    // and the MIP then starts from, and can only improve on, that incumbent).
-    // Computed identically whether the model was patched or rebuilt: the
-    // bound-gated path below hands exactly this incumbent back when the root
-    // bound prunes, which is also what the cold branch-and-bound returns, so
-    // incremental and cold rounds produce identical targets.
-    t0 = util::MonotonicSeconds();
-    std::vector<double> counts = BuildInitialCounts(input, classes, built);
-    if (config_.backend == SolverBackend::kMip) {
-      LocalSearchOptions polish;
-      polish.time_limit_seconds = std::min(1.0, mip_options.time_limit_seconds * 0.1);
-      polish.seed = 17;
-      // The greedy start is already move-minimal; cap the rejected-proposal
-      // patience so a polish with nothing to find exits in ~ms instead of
-      // grinding its full proposal budget (identical knob on every pipeline).
-      polish.stall_limit = config_.polish_stall_limit;
-      counts = LocalSearchOptimize(input, classes, built, counts, polish).counts;
-    }
-    std::vector<double> warm = MakeWarmStart(input, classes, built, counts);
-    const double warm_obj = built.model.Objective(warm);
-    outcome.stats.warm_start_objective = warm_obj;
-    outcome.stats.timings.initial_state_s = util::MonotonicSeconds() - t0;
-
-    // Optimize (Section 6: the backend is pluggable; MIP is the paper's
-    // choice for RAS, local search the near-realtime alternative).
-    t0 = util::MonotonicSeconds();
-    if (config_.backend == SolverBackend::kLocalSearch) {
-      LocalSearchOptions ls_options;
-      ls_options.time_limit_seconds = mip_options.time_limit_seconds;
-      LocalSearchResult ls = LocalSearchOptimize(input, classes, built, counts, ls_options);
-      local_solution = MakeWarmStart(input, classes, built, ls.counts);
-      solution = &local_solution;
-      outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-      outcome.stats.mip_status = MipStatus::kFeasible;  // No optimality proof.
-      outcome.stats.nodes = ls.proposals;
-      outcome.stats.objective = ls.final_objective;
-      outcome.stats.best_bound = -kInf;
+  // Optimize (Section 6: the backend is pluggable; MIP is the paper's
+  // choice for RAS, local search the near-realtime alternative).
+  t0 = util::MonotonicSeconds();
+  std::vector<double> solution;
+  if (config_.backend == SolverBackend::kLocalSearch) {
+    LocalSearchOptions ls_options;
+    ls_options.time_limit_seconds = mip_options.time_limit_seconds;
+    LocalSearchResult ls = LocalSearchOptimize(input, classes, built, counts, ls_options);
+    solution = MakeWarmStart(input, classes, built, ls.counts);
+    outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+    outcome.stats.mip_status = MipStatus::kFeasible;  // No optimality proof.
+    outcome.stats.nodes = ls.proposals;
+    outcome.stats.objective = ls.final_objective;
+    outcome.stats.best_bound = -kInf;
+  } else {
+    MipOptions options = mip_options;
+    options.lp = LpOptions();
+    options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
+    MipSolver solver(options);
+    MipResult mip = solver.Solve(built.model, &warm);
+    outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
+    outcome.stats.mip_status = mip.status;
+    outcome.stats.nodes = mip.nodes;
+    outcome.stats.dual_resolves = mip.dual_resolves;
+    outcome.stats.dual_iterations = mip.lp_dual_iterations;
+    outcome.stats.presolve_rows_removed = mip.presolve_rows_removed;
+    outcome.stats.best_bound = mip.best_bound;
+    if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
+      solution = std::move(mip.x);
+      outcome.stats.objective = mip.objective;
     } else {
-      // Bound-gated fast path: re-solve only the root LP, restarting from the
-      // cached basis, and compare its bound against the greedy incumbent. When
-      // the bound prunes (the serial branch-and-bound's first decision, taken
-      // before any heuristic or branching), the B&B would return the warm
-      // incumbent untouched — so return it here without opening the tree,
-      // replacing the entire cold root solve + search with one basis
-      // refactorization and a few pivots. When the bound does not prune, the
-      // probe is discarded and the MIP below runs exactly as if cold. Gated
-      // on the cached round's own gap: when last round's incumbent already
-      // sat far above its LP bound (the structural integer-ceil regime), this
-      // round's root bound cannot prune either — the probe would be a wasted
-      // refactorization every round.
-      if (patched && !entry->root_basis.empty() &&
-          entry->objective - entry->best_bound <= 2 * gap &&
-          built.model.IsFeasible(warm, mip_options.integrality_tol * 10)) {
-        SimplexSolver probe{LpOptions()};
-        if (probe.ImportBasis(built.model, entry->root_basis)) {
-          LpResult root = probe.ResolveWithBasis(built.model, {});
-          outcome.stats.dual_iterations += root.dual_iterations;
-          if (root.used_dual_simplex) {
-            ++outcome.stats.dual_resolves;
-          }
-          if (root.status == LpStatus::kOptimal && root.objective > warm_obj - gap) {
-            solution = &warm;
-            new_root_basis = probe.ExportBasis();
-            outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-            outcome.stats.mip_status = MipStatus::kOptimal;
-            outcome.stats.nodes = 1;
-            outcome.stats.objective = warm_obj;
-            // Proven within gap: reported as the objective, matching the
-            // cold B&B's accounting for a root prune.
-            outcome.stats.best_bound = warm_obj;
-            outcome.stats.basis_reused = true;
-          }
-        }
-      }
-
-      if (solution == nullptr) {
-        MipOptions options = mip_options;
-        options.lp = LpOptions();
-        options.heuristic = MakeLpRoundingHeuristic(input, classes, built);
-        if (patched && !config_.resolve_strict_parity) {
-          options.root_basis = entry->root_basis;
-        }
-        MipSolver solver(options);
-        MipResult mip = solver.Solve(built.model, &warm);
-        outcome.stats.timings.mip_s = util::MonotonicSeconds() - t0;
-        outcome.stats.mip_status = mip.status;
-        outcome.stats.nodes = mip.nodes;
-        outcome.stats.basis_reused = mip.root_basis_used;
-        outcome.stats.dual_resolves += mip.dual_resolves;
-        outcome.stats.dual_iterations += mip.lp_dual_iterations;
-        outcome.stats.presolve_rows_removed += mip.presolve_rows_removed;
-        new_root_basis = std::move(mip.root_basis);
-        if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
-          local_solution = std::move(mip.x);
-          solution = &local_solution;
-          outcome.stats.objective = mip.objective;
-          outcome.stats.best_bound = mip.best_bound;
-        } else {
-          // MIP produced nothing usable: ship the greedy initial state,
-          // exactly the paper's posture that a timed-out solve must still
-          // yield a valid (possibly suboptimal) assignment.
-          RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
-                            << "; falling back to the greedy initial state";
-          local_solution = std::move(warm);
-          solution = &local_solution;
-          outcome.stats.objective = outcome.stats.warm_start_objective;
-          outcome.stats.best_bound = mip.best_bound;
-        }
-      } else if (solution == &warm) {
-        local_solution = std::move(warm);
-        solution = &local_solution;
-      }
+      // MIP produced nothing usable: ship the greedy initial state,
+      // exactly the paper's posture that a timed-out solve must still
+      // yield a valid (possibly suboptimal) assignment.
+      RAS_LOG(kWarning) << "MIP returned " << MipStatusName(mip.status)
+                        << "; falling back to the greedy initial state";
+      solution = std::move(warm);
+      outcome.stats.objective = outcome.stats.warm_start_objective;
     }
   }
 
-  outcome.decoded = DecodeAssignment(input, classes, built, *solution);
+  outcome.decoded = DecodeAssignment(input, classes, built, solution);
   outcome.shortfall_rru = 0.0;
   for (size_t r = 0; r < input.reservations.size(); ++r) {
     if (built.shortfall_vars[r] != kNoVar) {
-      outcome.shortfall_rru += (*solution)[built.shortfall_vars[r]];
-    }
-  }
-
-  // Persist this round's warm state for the next: the (possibly freshly
-  // built) model moves into the entry, along with the incumbent's assignment
-  // counts, its objective/bound, and the root basis. A round whose MIP
-  // produced nothing trustworthy leaves the entry invalid — the fallback
-  // greedy answer carries no bound worth reusing.
-  if (entry != nullptr) {
-    const bool usable = outcome.stats.mip_status == MipStatus::kOptimal ||
-                        outcome.stats.mip_status == MipStatus::kFeasible;
-    if (!usable) {
-      entry->valid = false;
-    } else {
-      if (outcome.stats.solve_skipped) {
-        entry->counts = std::move(skip_counts);
-      } else {
-        entry->counts.resize(built.assignment_vars.size());
-        for (size_t k = 0; k < built.assignment_vars.size(); ++k) {
-          entry->counts[k] = (*solution)[static_cast<size_t>(built.assignment_vars[k].var)];
-        }
-        // A skipped round keeps the cached basis (the model is unchanged
-        // within the skip tolerance); every other round replaces it.
-        entry->root_basis = std::move(new_root_basis);
-      }
-      entry->input = input;
-      entry->classes = classes;
-      entry->include_rack_spread = include_rack_spread;
-      entry->subset = subset;
-      if (!patched) {
-        entry->built = std::move(fresh);
-      }
-      entry->objective = outcome.stats.objective;
-      entry->best_bound = outcome.stats.best_bound;
-      entry->mip_status = outcome.stats.mip_status;
-      entry->valid = true;
+      outcome.shortfall_rru += solution[built.shortfall_vars[r]];
     }
   }
 
@@ -375,7 +194,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     nodes.Add(outcome.stats.nodes);
     const StepTimings& t = outcome.stats.timings;
     phase_seconds.Observe(t.solver_build_s + t.initial_state_s + t.mip_s);
-    phase_span.set_value(outcome.stats.delta_servers);
   }
   return outcome;
 }
@@ -435,16 +253,8 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   if (fault_hook_) {
     Status injected = fault_hook_(mode);
     if (!injected.ok()) {
-      // A faulted round leaves no trustworthy continuity to diff against;
-      // whatever happens next must cold-start.
-      InvalidateResolveCache();
       return injected;
     }
-  }
-  if (mode != SolveMode::kFullTwoPhase) {
-    // Degraded ladder rungs run reduced pipelines whose outputs the
-    // incremental machinery must never treat as a previous full round.
-    InvalidateResolveCache();
   }
 
   // Shard decomposition (src/shard): K > 1 partitions the region and solves
@@ -503,8 +313,7 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   std::vector<EquivalenceClass> classes1 = BuildEquivalenceClasses(input, Scope::kMsb);
   double ras_build1 = util::MonotonicSeconds() - t0;
   PhaseOutcome phase1 = RunPhase(input, classes1, /*include_rack_spread=*/false, {},
-                                 config_.phase1_mip, ras_build1,
-                                 mode == SolveMode::kFullTwoPhase ? 1 : 0);
+                                 config_.phase1_mip, ras_build1);
   stats.phase1 = phase1.stats;
 
   // Working assignment after phase 1.
@@ -521,7 +330,7 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
     }
     stats.total_shortfall_rru = ComputeShortfall(input, final_targets);
     stats.total_seconds = util::MonotonicSeconds() - start;
-    SummarizeReuse(stats);
+    SummarizePhases(stats);
     RecordSolveMetrics(stats);
     if (decoded_out != nullptr) {
       decoded_out->targets = std::move(final_targets);
@@ -577,7 +386,7 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
     }
 
     PhaseOutcome phase2 = RunPhase(input2, classes2, /*include_rack_spread=*/true, subset,
-                                   config_.phase2_mip, ras_build2, /*phase=*/2);
+                                   config_.phase2_mip, ras_build2);
     stats.phase2 = phase2.stats;
 
     // Merge: phase-2 targets override phase-1 for the servers it touched.
@@ -603,7 +412,7 @@ Result<SolveStats> AsyncSolver::SolveSnapshot(const SolveInput& input,
   }
   stats.total_shortfall_rru = ComputeShortfall(input, final_targets);
   stats.total_seconds = util::MonotonicSeconds() - start;
-  SummarizeReuse(stats);
+  SummarizePhases(stats);
   RecordSolveMetrics(stats);
 
   if (decoded_out != nullptr) {
@@ -627,42 +436,15 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   ShardPlan plan = PlanShards(*input.topology, plan_options);
   ShardDemand demand = SplitDemand(input, plan);
 
-  // Each shard runs this solver's monolithic path on its sub-input.
-  // shard_count = 1 terminates the recursion; every per-shard solve is the
-  // serial deterministic branch-and-bound — the shards themselves are the
-  // parallelism axis.
+  // Each shard runs the monolithic path on its sub-input, in a sub-solver
+  // built for this round. shard_count = 1 terminates the recursion; every
+  // per-shard solve is the serial deterministic branch-and-bound — the
+  // shards themselves are the parallelism axis.
   SolverConfig sub_config = config_;
   sub_config.shard_count = 1;
-
-  // Persistent per-shard solvers: shard k's sub-solver (and the resolve cache
-  // inside it) survives across rounds while the plan signature holds, so a
-  // shard's warm state always meets the same shard's next sub-input
-  // (incumbent affinity — the plan itself is deterministic in the seed and
-  // topology, so shard k covers the same racks round over round). Any plan
-  // change redraws shard boundaries and orphans all warm state at once.
-  const bool plan_changed =
-      shard_plan_count_ != shard_count || shard_plan_seed_ != config_.shard_seed ||
-      shard_plan_topology_ != input.topology || shard_plan_servers_ != input.servers.size();
-  if (plan_changed) {
-    shard_solvers_.clear();
-    shard_plan_count_ = shard_count;
-    shard_plan_seed_ = config_.shard_seed;
-    shard_plan_topology_ = input.topology;
-    shard_plan_servers_ = input.servers.size();
-  }
-  // Created serially before the fan-out: pool workers only ever read the map.
-  for (int shard = 0; shard < shard_count; ++shard) {
-    std::unique_ptr<AsyncSolver>& slot = shard_solvers_[shard];
-    if (slot == nullptr) {
-      slot = std::make_unique<AsyncSolver>(sub_config);
-      slot->set_resolve_shard(shard);
-    } else {
-      slot->mutable_config() = sub_config;
-    }
-  }
-  ShardSolveFn solve_shard = [this, mode](int shard, const SolveInput& shard_input,
-                                          DecodedAssignment* decoded) {
-    return shard_solvers_.at(shard)->SolveSnapshot(shard_input, decoded, mode);
+  ShardSolveFn solve_shard = [&sub_config, mode](const SolveInput& shard_input,
+                                                 DecodedAssignment* decoded) {
+    return AsyncSolver(sub_config).SolveSnapshot(shard_input, decoded, mode);
   };
   ShardSolveOptions solve_options;
   solve_options.threads = config_.shard_threads;
@@ -677,7 +459,7 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
 
   SolveStats stats = outcome.aggregate;
   stats.shard_count = shard_count;
-  SummarizeReuse(stats);
+  SummarizePhases(stats);
 
   // Stitch repair: rounding losses and shard-local infeasibilities are fixed
   // region-wide, across shard boundaries.
@@ -721,13 +503,6 @@ Result<SolveStats> AsyncSolver::SolveSharded(const SolveInput& input,
   return stats;
 }
 
-void AsyncSolver::InvalidateResolveCache() {
-  resolve_cache_.Invalidate();
-  for (auto& [shard, solver] : shard_solvers_) {
-    solver->InvalidateResolveCache();
-  }
-}
-
 Result<SolveStats> AsyncSolver::SolveOnce(ResourceBroker& broker,
                                           const ReservationRegistry& registry,
                                           const HardwareCatalog& catalog, SolveMode mode) {
@@ -747,9 +522,6 @@ Result<SolveStats> AsyncSolver::SolveOnce(ResourceBroker& broker,
   // broker write failure cannot strand a half-applied target set.
   Status persisted = broker.ApplyTargets(decoded.targets);
   if (!persisted.ok()) {
-    // The rolled-back broker no longer matches the round the cache just
-    // recorded as "previous"; the next round must re-derive from scratch.
-    InvalidateResolveCache();
     return persisted;
   }
   return stats;

@@ -9,21 +9,21 @@
 //
 // Each phase is instrumented with the four steps of Figure 8:
 //   RAS build -> solver build -> initial state -> MIP.
+//
+// Every round is solved cold from its snapshot: no solver state carries from
+// one round to the next.
 
 #ifndef RAS_SRC_CORE_ASYNC_SOLVER_H_
 #define RAS_SRC_CORE_ASYNC_SOLVER_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/broker/resource_broker.h"
 #include "src/core/assignment_decoder.h"
 #include "src/core/model_builder.h"
 #include "src/core/reservation.h"
-#include "src/core/resolve_cache.h"
 #include "src/core/solve_input.h"
 
 namespace ras {
@@ -63,13 +63,10 @@ struct PhaseStats {
   int64_t nodes = 0;
   bool ran = false;
 
-  // Cross-round reuse telemetry (resolve cache, SolverConfig::
-  // incremental_resolve). delta_servers is the server-state delta against the
-  // cached round, or -1 when there was no cached round to diff against.
+  // Inert: read only by perfbench/; the library leaves both false. The next
+  // benchmark change deletes them.
   bool model_patched = false;
-  bool basis_reused = false;
   bool solve_skipped = false;
-  int delta_servers = -1;
   // Solver-layer re-optimization telemetry (presolve + dual simplex), summed
   // over every LP the phase ran: node LPs served by the dual kernel, the
   // dual pivots they took, and rows presolve removed from cold solves.
@@ -95,13 +92,6 @@ struct SolveStats {
   size_t repair_moves = 0;
   double repair_shortfall_before_rru = 0.0;
 
-  // Round-level reuse summary: the booleans hold when every phase (and, when
-  // sharded, every shard) that ran reused that way; delta_servers is phase
-  // 1's region-wide delta (summed across shards), -1 on a cold round.
-  bool model_patched = false;
-  bool basis_reused = false;
-  bool solve_skipped = false;
-  int delta_servers = -1;
   // Solver-layer re-optimization totals summed across phases (and shards).
   int64_t dual_resolves = 0;
   int64_t dual_iterations = 0;
@@ -135,19 +125,6 @@ class AsyncSolver {
   using FaultHook = std::function<Status(SolveMode)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  // Drops every cached (phase, shard) resolve entry — this solver's and its
-  // persistent per-shard sub-solvers' — so the next round cold-starts.
-  // Called internally on every path that breaks round-over-round continuity
-  // (degraded solve modes, injected faults, failed broker writes); exposed so
-  // the supervisor and recovery drills can force the same on external
-  // evidence of divergence.
-  void InvalidateResolveCache();
-
-  const ResolveCache& resolve_cache() const { return resolve_cache_; }
-  // Tags this solver's cache entries with the shard index they serve
-  // (ShardSolveCoordinator affinity); -1 (default) is the monolithic solve.
-  void set_resolve_shard(int shard) { resolve_shard_ = shard; }
-
  private:
   // Shard-decomposed solve (src/shard): plan -> split -> per-shard solves ->
   // merge -> stitch repair. Entered from SolveSnapshot when the configured
@@ -162,11 +139,9 @@ class AsyncSolver {
     DecodedAssignment decoded;
     double shortfall_rru = 0.0;
   };
-  // `phase` selects the resolve-cache slot (1 or 2); 0 disables caching for
-  // this call (degraded modes must not leave warm state behind).
   PhaseOutcome RunPhase(const SolveInput& input, const std::vector<EquivalenceClass>& classes,
                         bool include_rack_spread, const std::vector<int>& subset,
-                        const MipOptions& mip_options, double snapshot_seconds, int phase);
+                        const MipOptions& mip_options, double snapshot_seconds);
 
   // Rack-overflow score per reservation index, computed from a decoded
   // phase-1 assignment; drives phase-2 subset selection.
@@ -174,21 +149,6 @@ class AsyncSolver {
 
   SolverConfig config_;
   FaultHook fault_hook_;
-
-  // Cross-round warm state (Figure 8: the build and root-LP steps this
-  // avoids repaying every round). Keyed (phase, resolve_shard_).
-  ResolveCache resolve_cache_;
-  int resolve_shard_ = -1;
-
-  // Persistent per-shard sub-solvers: each shard index keeps its own
-  // AsyncSolver (and thus its own resolve cache) across rounds, so warm state
-  // follows the shard it belongs to (incumbent affinity). Rebuilt whenever
-  // the plan signature below changes.
-  std::map<int, std::unique_ptr<AsyncSolver>> shard_solvers_;
-  int shard_plan_count_ = 0;
-  uint64_t shard_plan_seed_ = 0;
-  const RegionTopology* shard_plan_topology_ = nullptr;
-  size_t shard_plan_servers_ = 0;
 };
 
 }  // namespace ras

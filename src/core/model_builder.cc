@@ -38,9 +38,6 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
   built.hoard_vars.assign(num_res, kNoVar);
   built.hoard_limits.assign(num_res, 0.0);
   built.class_to_vars.resize(classes.size());
-  built.capacity_rows.assign(num_res, kNoRow);
-  built.hoard_rows.assign(num_res, kNoRow);
-  built.supply_rows.reserve(classes.size());
 
   // Which reservation indices participate in this build.
   std::vector<bool> in_subset(num_res, reservation_subset.empty());
@@ -58,7 +55,6 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
     const EquivalenceClass& cls = classes[c];
     const double cls_count = static_cast<double>(cls.count());
     RowId supply = model.AddRow(-kInf, cls_count);
-    built.supply_rows.push_back(supply);
     for (size_t r = 0; r < num_res; ++r) {
       if (!in_subset[r]) {
         continue;
@@ -86,10 +82,8 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
         model.AddCoefficient(move_row, n, 1.0);
         model.AddCoefficient(move_row, o, 1.0);
         built.move_vars.push_back(o);
-        built.move_rows.push_back(move_row);
       } else {
         built.move_vars.push_back(kNoVar);
-        built.move_rows.push_back(kNoRow);
       }
 
       msb_groups[r].by_group[cls.msb].push_back({n, value});
@@ -131,7 +125,6 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 
     // Expression (6): total RRUs minus the worst MSB must cover C_r.
     RowId cap_row = model.AddRow(capacity, kInf);
-    built.capacity_rows[r] = cap_row;
     for (const auto& [group, vars] : msb_groups[r].by_group) {
       for (const auto& [n, value] : vars) {
         model.AddCoefficient(cap_row, n, value);
@@ -149,7 +142,6 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
     built.hoard_vars[r] = hoard;
     built.hoard_limits[r] = hoard_limit;
     RowId hoard_row = model.AddRow(-kInf, hoard_limit);
-    built.hoard_rows[r] = hoard_row;
     for (const auto& [group, vars] : msb_groups[r].by_group) {
       for (const auto& [n, value] : vars) {
         model.AddCoefficient(hoard_row, n, value);
@@ -173,7 +165,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
       }
       model.AddCoefficient(row, w, -1.0);
       built.msb_spread_terms.push_back(
-          BuiltModel::SpreadTerm{w, static_cast<int>(r), group, msb_threshold, row});
+          BuiltModel::SpreadTerm{w, static_cast<int>(r), group, msb_threshold});
     }
 
     // Expression (2): rack spread, phase 2 only.
@@ -190,7 +182,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
         }
         model.AddCoefficient(row, w, -1.0);
         built.rack_spread_terms.push_back(
-            BuiltModel::SpreadTerm{w, static_cast<int>(r), group, rack_threshold, row});
+            BuiltModel::SpreadTerm{w, static_cast<int>(r), group, rack_threshold});
       }
     }
 
@@ -206,7 +198,7 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
         }
         model.AddCoefficient(row, slack, -1.0);
         built.quorum_terms.push_back(
-            BuiltModel::QuorumTerm{slack, static_cast<int>(r), group, limit, row});
+            BuiltModel::QuorumTerm{slack, static_cast<int>(r), group, limit});
       }
     }
 
@@ -227,152 +219,15 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
       }
       model.AddCoefficient(lo_row, lo_slack, 1.0);
       model.AddCoefficient(hi_row, hi_slack, -1.0);
-      built.affinity_terms.push_back(BuiltModel::AffinityTerm{lo_slack, hi_slack,
-                                                              static_cast<int>(r), dc, lo, hi,
-                                                              lo_row, hi_row});
+      built.affinity_terms.push_back(
+          BuiltModel::AffinityTerm{lo_slack, hi_slack, static_cast<int>(r), dc, lo, hi});
     }
   }
 
   // Warm the compressed-column cache: every LP solver over this model now
-  // copies the cached form instead of rebuilding it, and PatchRasModel's
-  // bound-only updates keep it valid across rounds.
+  // copies the cached form instead of rebuilding it.
   built.model.EnsureCompressedCache();
   return built;
-}
-
-bool PatchRasModel(BuiltModel& built, const SolveInput& input,
-                   const std::vector<EquivalenceClass>& classes, const SolverConfig& config,
-                   bool include_rack_spread, const std::vector<int>& reservation_subset) {
-  assert(input.topology != nullptr && input.catalog != nullptr);
-  const RegionTopology& topo = *input.topology;
-  const size_t num_res = input.reservations.size();
-  Model& model = built.model;
-
-  if (built.supply_rows.size() != classes.size() ||
-      built.class_to_vars.size() != classes.size() || built.shortfall_vars.size() != num_res ||
-      built.capacity_rows.size() != num_res ||
-      built.move_rows.size() != built.assignment_vars.size() ||
-      (!include_rack_spread && !built.rack_spread_terms.empty())) {
-    return false;
-  }
-
-  std::vector<bool> in_subset(num_res, reservation_subset.empty());
-  for (int r : reservation_subset) {
-    if (r < 0 || static_cast<size_t>(r) >= num_res) {
-      return false;
-    }
-    in_subset[static_cast<size_t>(r)] = true;
-  }
-
-  // --- Assignment variables: re-derive the builder's (class, reservation)
-  // sequence; any divergence from the recorded sequence means the structure
-  // changed and the caller must rebuild. ---
-  size_t k = 0;
-  for (size_t c = 0; c < classes.size(); ++c) {
-    const EquivalenceClass& cls = classes[c];
-    const double cls_count = static_cast<double>(cls.count());
-    model.UpdateRowBounds(built.supply_rows[c], -kInf, cls_count);
-    for (size_t r = 0; r < num_res; ++r) {
-      if (!in_subset[r]) {
-        continue;
-      }
-      const ReservationSpec& spec = input.reservations[r];
-      double value = spec.ValueOfType(cls.type);
-      if (value <= 0.0) {
-        continue;
-      }
-      if (k >= built.assignment_vars.size() ||
-          built.assignment_vars[k].class_index != static_cast<int>(c) ||
-          built.assignment_vars[k].reservation_index != static_cast<int>(r)) {
-        return false;
-      }
-      const VarId n = built.assignment_vars[k].var;
-      model.UpdateVariableBounds(n, 0, cls_count);
-      model.UpdateObjectiveCost(n, (cls.current == spec.id) ? 0.0 : config.acquire_cost);
-      const double initial = (cls.current == spec.id) ? cls_count : 0.0;
-      built.initial_counts[k] = initial;
-      const bool has_move = built.move_vars[k] != kNoVar;
-      if ((initial > 0.0) != has_move || (built.move_rows[k] != kNoRow) != has_move) {
-        return false;  // A move-out row exists iff the class currently sits in r.
-      }
-      if (has_move) {
-        double ms = cls.in_use ? config.move_cost_in_use : config.move_cost_idle;
-        model.UpdateVariableBounds(built.move_vars[k], 0, initial);
-        model.UpdateObjectiveCost(built.move_vars[k], ms);
-        model.UpdateRowBounds(built.move_rows[k], initial, kInf);
-      }
-      ++k;
-    }
-  }
-  if (k != built.assignment_vars.size()) {
-    return false;
-  }
-
-  // --- Per-reservation size-dependent bounds ---
-  size_t expected_affinity_terms = 0;
-  for (size_t r = 0; r < num_res; ++r) {
-    if (!in_subset[r]) {
-      if (built.shortfall_vars[r] != kNoVar) {
-        return false;
-      }
-      continue;
-    }
-    const ReservationSpec& spec = input.reservations[r];
-    const double capacity = spec.capacity_rru;
-    if (built.shortfall_vars[r] == kNoVar || built.capacity_rows[r] == kNoRow ||
-        built.hoard_rows[r] == kNoRow ||
-        spec.needs_correlated_buffer != (built.buffer_vars[r] != kNoVar)) {
-      return false;
-    }
-    expected_affinity_terms += spec.dc_affinity.size();
-    model.UpdateVariableBounds(built.shortfall_vars[r], 0, std::max(capacity, 0.0));
-    model.UpdateRowBounds(built.capacity_rows[r], capacity, kInf);
-    const double hoard_limit = (1.0 + config.hoarding_allowance) * capacity;
-    built.hoard_limits[r] = hoard_limit;
-    model.UpdateRowBounds(built.hoard_rows[r], -kInf, hoard_limit);
-  }
-
-  // --- Spread / quorum / affinity thresholds (all scale with C_r) ---
-  for (auto& term : built.msb_spread_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    double alpha_f = spec.msb_spread_alpha > 0.0
-                         ? spec.msb_spread_alpha
-                         : config.msb_alpha_factor / static_cast<double>(topo.num_msbs());
-    term.threshold = std::max(alpha_f * spec.capacity_rru, config.min_spread_threshold_rru);
-    model.UpdateRowBounds(term.row, -kInf, term.threshold);
-  }
-  for (auto& term : built.rack_spread_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    double alpha_k = spec.rack_spread_alpha > 0.0
-                         ? spec.rack_spread_alpha
-                         : config.rack_alpha_factor / static_cast<double>(topo.num_racks());
-    term.threshold = std::max(alpha_k * spec.capacity_rru, config.min_spread_threshold_rru);
-    model.UpdateRowBounds(term.row, -kInf, term.threshold);
-  }
-  for (auto& term : built.quorum_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    if (spec.max_msb_fraction_hard <= 0.0) {
-      return false;  // Hard cap vanished: the row set no longer matches.
-    }
-    term.limit = spec.max_msb_fraction_hard * spec.capacity_rru;
-    model.UpdateRowBounds(term.row, -kInf, term.limit);
-  }
-  if (built.affinity_terms.size() != expected_affinity_terms) {
-    return false;  // Affinity keys were added or removed.
-  }
-  for (auto& term : built.affinity_terms) {
-    const ReservationSpec& spec = input.reservations[static_cast<size_t>(term.reservation_index)];
-    auto it = spec.dc_affinity.find(term.dc);
-    if (it == spec.dc_affinity.end()) {
-      return false;
-    }
-    const double capacity = spec.capacity_rru;
-    term.lo = std::max(0.0, it->second - spec.affinity_theta) * capacity;
-    term.hi = (it->second + spec.affinity_theta) * capacity;
-    model.UpdateRowBounds(term.lo_row, term.lo, kInf);
-    model.UpdateRowBounds(term.hi_row, -kInf, term.hi);
-  }
-  return true;
 }
 
 std::vector<double> MakeWarmStart(const SolveInput& input,

@@ -90,29 +90,15 @@ struct SolverConfig {
   // Move budget for the post-merge StitchRepair pass.
   size_t shard_repair_max_moves = 2000;
 
-  // --- Cross-round incremental re-solve (src/core/resolve_cache.h) ---
-  // Reuses the previous round's model (patched in place), root simplex basis,
-  // and incumbent when consecutive snapshots are structurally equal. With
-  // resolve_strict_parity at its default the reuse paths only short-circuit
-  // work a cold solve would provably repeat, so disabling this changes
-  // timings, not targets. A round with an empty delta skips the MIP and
-  // returns the cached incumbent, exactly what the deterministic cold solve
-  // would recompute.
+  // Inert: read only by perfbench/; the library ignores it (every round is
+  // solved cold). The next benchmark change deletes it.
   bool incremental_resolve = true;
-  // Strict parity (default): the cached basis is only used for a separate
-  // root-bound probe whose fired outcome equals the cold serial root prune;
-  // when the probe does not fire, the MIP runs exactly as if cold. false
-  // additionally seeds that fallback MIP's root LP from the cached basis —
-  // faster, but alternate LP optima can steer branching differently, so
-  // targets may (validly) differ from a cold solve.
-  bool resolve_strict_parity = true;
 
   // Rejected-proposal patience for the local-search polish of the greedy
   // warm start (LocalSearchOptions::stall_limit). The greedy start is
   // already move-minimal in the RAS cost structure, so polish acceptance is
   // rare; the library default (150k proposals) burns tens of milliseconds
-  // per phase re-proving that. Applied identically to every pipeline (cold
-  // and incremental), so it shifts timings, never parity.
+  // per phase re-proving that.
   int64_t polish_stall_limit = 4000;
 
   MipOptions phase1_mip;
@@ -130,12 +116,6 @@ struct SolverConfig {
     // pruning at this tolerance saves most of the branch-and-bound tail.
     phase1_mip.absolute_gap = move_cost_idle / 2;
     phase2_mip.absolute_gap = move_cost_idle / 2;
-    // stall_node_limit stays at the library default (0 = disabled): the RAS
-    // LP relaxation keeps a structural integer-ceil gap (the tau-weighted
-    // buffer terms) to any incumbent, so an aggressive stall cutoff can
-    // freeze a mid-quality incumbent that more patience would improve.
-    // Latency-sensitive callers (the round-resolve bench) opt in per config,
-    // setting it identically on both pipelines so targets stay comparable.
   }
 };
 
@@ -173,7 +153,6 @@ struct BuiltModel {
     int reservation_index;
     uint32_t group;
     double threshold;
-    RowId row = -1;  // sum_G V*n - w <= threshold; patched when C_r resizes.
   };
   std::vector<SpreadTerm> msb_spread_terms;
   std::vector<SpreadTerm> rack_spread_terms;
@@ -184,8 +163,6 @@ struct BuiltModel {
     DatacenterId dc;
     double lo;  // (A - theta) * C_r
     double hi;  // (A + theta) * C_r
-    RowId lo_row = -1;
-    RowId hi_row = -1;
   };
   std::vector<AffinityTerm> affinity_terms;
   // Storage quorum caps: per (reservation, MSB) slack above the hard limit.
@@ -194,17 +171,8 @@ struct BuiltModel {
     int reservation_index;
     uint32_t group;  // MSB.
     double limit;    // max_msb_fraction_hard * C_r.
-    RowId row = -1;
   };
   std::vector<QuorumTerm> quorum_terms;
-
-  // Row bookkeeping for in-place patching (PatchRasModel): every row whose
-  // bounds depend on class counts or reservation sizes. Rows not present in
-  // this build (no move-out, reservation outside the subset) hold kNoRow.
-  std::vector<RowId> supply_rows;    // Per class: sum_r n <= |class|.
-  std::vector<RowId> move_rows;      // Aligned with assignment_vars: n + o >= X.
-  std::vector<RowId> capacity_rows;  // Per reservation index: Expression (6).
-  std::vector<RowId> hoard_rows;     // Per reservation index.
 
   size_t num_assignment_variables() const { return assignment_vars.size(); }
   // Model-build memory (variables, rows, nonzeros, decode bookkeeping):
@@ -214,7 +182,6 @@ struct BuiltModel {
 };
 
 inline constexpr VarId kNoVar = -1;
-inline constexpr RowId kNoRow = -1;
 
 // Builds the model over `classes`.
 //  - granularity: the location scope the classes were built at.
@@ -233,22 +200,6 @@ BuiltModel BuildRasModel(const SolveInput& input, const std::vector<EquivalenceC
 std::vector<double> MakeWarmStart(const SolveInput& input,
                                   const std::vector<EquivalenceClass>& classes,
                                   const BuiltModel& built, const std::vector<double>& counts);
-
-// In-place re-targets `built` (previously produced by BuildRasModel with the
-// same config / include_rack_spread / reservation_subset) at a new round's
-// (input, classes), without touching the constraint matrix: class-count
-// supply and move bounds, initial counts, capacity / hoard / spread / quorum
-// / affinity row bounds and thresholds — all through the Model's
-// cache-preserving Update mutators, so the compressed-column cache built for
-// the previous round stays valid. Requires structural equality between the
-// old and new rounds (same class keys per index, same reservation layout —
-// what RoundDelta::classes_structurally_equal certifies); the walk re-derives
-// the builder's variable/row sequence and returns false, leaving `built`
-// unusable for this round, on any mismatch. On success the patched model is
-// field-for-field identical to a fresh BuildRasModel of the new round.
-bool PatchRasModel(BuiltModel& built, const SolveInput& input,
-                   const std::vector<EquivalenceClass>& classes, const SolverConfig& config,
-                   bool include_rack_spread, const std::vector<int>& reservation_subset = {});
 
 }  // namespace ras
 

@@ -40,11 +40,6 @@ obs::RoundReport MakeRoundReport(const RoundOutcome& record, const SolveStats& s
   report.moves_in_use = stats.moves_in_use;
   report.shortfall_rru = stats.total_shortfall_rru;
   report.wall_seconds = stats.total_seconds;
-  report.reuse = stats.solve_skipped    ? "skipped"
-                 : stats.basis_reused   ? "patched+basis"
-                 : stats.model_patched  ? "patched"
-                                        : "cold";
-  report.delta_servers = stats.delta_servers;
   report.shard_count = stats.shard_count;
   report.failed_shards = stats.failed_shards;
   report.repair_moves = stats.repair_moves;
@@ -135,9 +130,6 @@ Status SolverSupervisor::AttemptSolve(SolveMode mode, SolveStats* stats) {
     return solved.status();
   }
   if (solved->total_seconds > config_.solve_deadline_seconds) {
-    // The solve finished but its targets will never be applied; the resolve
-    // cache now describes a round the world never saw. Start the retry cold.
-    solver_->InvalidateResolveCache();
     static obs::Counter& misses = obs::MetricRegistry::Default().counter(
         "ras_supervisor_deadline_misses_total", "Solves discarded for blowing the deadline.");
     misses.Add();
@@ -157,7 +149,6 @@ Status SolverSupervisor::AttemptSolve(SolveMode mode, SolveStats* stats) {
     static obs::Counter& stale = obs::MetricRegistry::Default().counter(
         "ras_supervisor_stale_snapshots_total", "Results dropped because the broker moved.");
     stale.Add();
-    solver_->InvalidateResolveCache();
     return Status::FailedPrecondition("broker generation moved during the solve (snapshot " +
                                       std::to_string(snapshot_generation) + ", now " +
                                       std::to_string(broker_->generation()) + ")");
@@ -171,9 +162,6 @@ Status SolverSupervisor::AttemptSolve(SolveMode mode, SolveStats* stats) {
     static obs::Counter& persist_failed = obs::MetricRegistry::Default().counter(
         "ras_supervisor_persist_failures_total", "Solve results whose persist rolled back.");
     persist_failed.Add();
-    // A failed (and rolled-back) broker write means the cached round was never
-    // applied: any delta the next round computed against it would be fiction.
-    solver_->InvalidateResolveCache();
     return persisted;
   }
   last_good_targets_ = std::move(decoded.targets);
@@ -301,9 +289,6 @@ SupervisedRound SolverSupervisor::RunRound() {
   record.error = out.error;
   record.shortfall_rru = out.stats.total_shortfall_rru;
   record.emergency_armed = emergency_armed_;
-  record.model_patched = out.stats.model_patched;
-  record.solve_skipped = out.stats.solve_skipped;
-  record.delta_servers = out.stats.delta_servers;
   ++stats_.rung_counts[static_cast<int>(out.rung)];
   stats_.rounds.push_back(std::move(record));
 

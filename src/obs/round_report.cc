@@ -12,10 +12,9 @@ std::string FormatRoundReport(const RoundReport& report) {
 
   if (report.produced_assignment) {
     std::snprintf(buf, sizeof(buf),
-                  " vars=%zu moves=%zu (in-use %zu) shortfall=%.1f reuse=%s delta=%d wall=%.3fs",
+                  " vars=%zu moves=%zu (in-use %zu) shortfall=%.1f wall=%.3fs",
                   report.assignment_variables, report.moves_total, report.moves_in_use,
-                  report.shortfall_rru, report.reuse.c_str(), report.delta_servers,
-                  report.wall_seconds);
+                  report.shortfall_rru, report.wall_seconds);
     out += buf;
     if (report.shard_count > 1) {
       std::snprintf(buf, sizeof(buf), " shards=%d (failed %zu, repair %zu)", report.shard_count,

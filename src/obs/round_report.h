@@ -35,10 +35,6 @@ struct RoundReport {
   double shortfall_rru = 0.0;
   double wall_seconds = 0.0;
 
-  // Cross-round reuse: "cold", "patched", "patched+basis", or "skipped".
-  std::string reuse = "cold";
-  int delta_servers = -1;
-
   int shard_count = 1;
   size_t failed_shards = 0;
   size_t repair_moves = 0;
@@ -48,7 +44,7 @@ struct RoundReport {
 
 // One line, no trailing newline:
 //   [round 3] rung=FULL_TWO_PHASE vars=512 moves=37 (in-use 12) shortfall=0.0
-//   reuse=patched delta=14 wall=0.021s
+//   wall=0.021s
 // Degraded rounds append retries=N error=<...>; sharded rounds append
 // shards=K (failed F, repair R); an armed emergency appends EMERGENCY.
 std::string FormatRoundReport(const RoundReport& report);

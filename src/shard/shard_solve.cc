@@ -40,21 +40,6 @@ void AccumulatePhase(PhaseStats& into, const PhaseStats& from) {
   into.dual_resolves += from.dual_resolves;
   into.dual_iterations += from.dual_iterations;
   into.presolve_rows_removed += from.presolve_rows_removed;
-  // Reuse telemetry: the aggregate claims reuse only when every shard reused
-  // that way; deltas sum, with any cold shard (-1) making the total unknown.
-  if (into.ran) {
-    into.model_patched = into.model_patched && from.model_patched;
-    into.basis_reused = into.basis_reused && from.basis_reused;
-    into.solve_skipped = into.solve_skipped && from.solve_skipped;
-    into.delta_servers = (into.delta_servers < 0 || from.delta_servers < 0)
-                             ? -1
-                             : into.delta_servers + from.delta_servers;
-  } else {
-    into.model_patched = from.model_patched;
-    into.basis_reused = from.basis_reused;
-    into.solve_skipped = from.solve_skipped;
-    into.delta_servers = from.delta_servers;
-  }
   into.ran = true;
 }
 
@@ -132,7 +117,7 @@ ShardSolveOutcome SolveShards(const SolveInput& input, const ShardPlan& plan,
     obs::SpanScope shard_span(obs::Tracer::Default(), "shard", trace_parent);
     shard_span.set_value(shard);
     double t0 = util::MonotonicSeconds();
-    Result<SolveStats> solved = solve_shard(shard, shard_input, &result.decoded);
+    Result<SolveStats> solved = solve_shard(shard_input, &result.decoded);
     result.wall_seconds = util::MonotonicSeconds() - t0;
     static obs::Histogram& shard_seconds = obs::MetricRegistry::Default().histogram(
         "ras_shard_solve_seconds", "Wall time of one shard's sub-solve.", 0.0, 30.0, 120);

@@ -27,12 +27,9 @@
 namespace ras {
 
 // Solves one shard's sub-input, filling `decoded` with targets covering
-// exactly the shard's available servers. `shard` is the plan's shard index —
-// stable round-over-round for a fixed plan, which is what lets the caller
-// route each shard to a persistent per-shard solver (and its resolve cache)
-// so warm state follows the same shard across rounds (incumbent affinity).
-using ShardSolveFn = std::function<Result<SolveStats>(
-    int shard, const SolveInput& shard_input, DecodedAssignment* decoded)>;
+// exactly the shard's available servers.
+using ShardSolveFn =
+    std::function<Result<SolveStats>(const SolveInput& shard_input, DecodedAssignment* decoded)>;
 
 struct ShardSolveOptions {
   // Worker threads for the fan-out; 0 = min(shard_count, hardware

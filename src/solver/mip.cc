@@ -173,8 +173,6 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
       reg.counter("ras_mip_nodes_total", "Nodes explored across branch-and-bound runs.");
   static obs::Counter& lp_iterations =
       reg.counter("ras_mip_lp_iterations_total", "Simplex iterations summed over node LPs.");
-  static obs::Counter& root_basis =
-      reg.counter("ras_mip_root_basis_used_total", "Runs that imported a cached root basis.");
   static obs::Counter& time_limit =
       reg.counter("ras_mip_time_limit_hits_total", "Runs cut off by their time limit.");
   static obs::Counter& dual_resolves = reg.counter(
@@ -189,9 +187,6 @@ MipResult MipSolver::Solve(const Model& model, const std::vector<double>* warm_s
   lp_iterations.Add(result.lp_iterations);
   dual_resolves.Add(result.dual_resolves);
   presolve_rows.Add(result.presolve_rows_removed);
-  if (result.root_basis_used) {
-    root_basis.Add();
-  }
   if (result.hit_time_limit) {
     time_limit.Add();
   }
@@ -220,11 +215,6 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
   // LPs have near-identical bounds, so they warm-start each other, and the
   // node chain's basis in lp_solver is never disturbed.
   SimplexSolver heuristic_solver(options_.lp);
-  // Cross-round seed: start the root LP from the cached basis when it still
-  // fits this model; otherwise the root solves cold as before.
-  const bool root_seeded =
-      !options_.root_basis.empty() && lp_solver.ImportBasis(model, options_.root_basis);
-  result.root_basis_used = root_seeded;
 
   // Depth-first with a deque: children of the most recent node are explored
   // first (good for finding incumbents fast), while `parent_bound` prunes
@@ -234,17 +224,10 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
   double best_open_bound = -kInf;  // Root LP bound once known.
   bool root_solved = false;
   bool unbounded = false;
-  int64_t nodes_since_improve = 0;
 
   while (!open.empty()) {
     if (result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_seconds) {
       result.hit_time_limit = elapsed() > options_.time_limit_seconds;
-      break;
-    }
-    // Stall patience: with an incumbent in hand and a long run of nodes that
-    // failed to improve it, stop searching instead of draining max_nodes.
-    if (options_.stall_node_limit > 0 && have_incumbent &&
-        nodes_since_improve >= options_.stall_node_limit) {
       break;
     }
     Node node = std::move(open.back());
@@ -256,13 +239,9 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     }
 
     ++result.nodes;
-    ++nodes_since_improve;
     // Children differ from their parent by one bound; reuse the last basis.
-    // A seeded root also goes through the warm path (the imported basis is
-    // exactly "the last basis").
-    LpResult lp = result.nodes == 1 && !root_seeded
-                      ? lp_solver.Solve(model, node.overrides)
-                      : lp_solver.ResolveWithBasis(model, node.overrides);
+    LpResult lp = result.nodes == 1 ? lp_solver.Solve(model, node.overrides)
+                                    : lp_solver.ResolveWithBasis(model, node.overrides);
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
     result.presolve_rows_removed += lp.presolve_rows_removed;
@@ -284,7 +263,6 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
     if (!root_solved) {
       best_open_bound = lp.objective;
       root_solved = true;
-      result.root_basis = lp_solver.ExportBasis();
     }
     if (have_incumbent && lp.objective > incumbent_obj - options_.absolute_gap) {
       continue;  // Bound prune.
@@ -304,7 +282,6 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
         }
         incumbent_obj = model.Objective(incumbent);
         have_incumbent = true;
-        nodes_since_improve = 0;
       }
       continue;
     }
@@ -323,7 +300,6 @@ MipResult MipSolver::Search(const Model& model, const std::vector<double>* warm_
           incumbent = std::move(rounded);
           incumbent_obj = obj;
           have_incumbent = true;
-          nodes_since_improve = 0;
         }
       }
     }

@@ -47,18 +47,6 @@ struct MipOptions {
   // RAS installs an LP-guided greedy that understands the assignment
   // structure (src/core/lp_rounding).
   MipHeuristic heuristic;
-  // Cross-round warm start (resolve cache): when non-empty, the node LP
-  // solver tries to import this basis before its first LP, so the root solve
-  // restarts from the previous round's optimum instead of the all-slack
-  // basis. A basis that fails to import (shape mismatch, singular against
-  // the current model) is ignored and the solve proceeds cold.
-  SimplexBasis root_basis;
-  // Stop the search once this many consecutive nodes have been explored
-  // without improving the incumbent, provided an incumbent exists. The RAS
-  // models sit in a regime where the LP relaxation keeps a structural
-  // integer-ceil gap to any incumbent, so unlimited patience burns the whole
-  // node budget proving nothing; a bounded stall cuts that tail. 0 disables.
-  int64_t stall_node_limit = 0;
 };
 
 struct MipResult {
@@ -71,13 +59,6 @@ struct MipResult {
   int64_t lp_iterations = 0;
   double solve_seconds = 0.0;
   bool hit_time_limit = false;
-  // Basis at the root LP optimum (empty when the root never solved to
-  // optimality). The resolve cache persists it to seed the next round via
-  // MipOptions::root_basis.
-  SimplexBasis root_basis;
-  // Whether MipOptions::root_basis was successfully imported by the node LP
-  // solver.
-  bool root_basis_used = false;
   // Solver-layer re-optimization telemetry summed over every node LP: warm
   // resolves served by the dual simplex kernel, the dual pivots they took,
   // and rows presolve removed from cold solves.

@@ -72,32 +72,6 @@ class Model {
   void SetRowBounds(RowId row, double lb, double ub);
   void SetObjectiveCost(VarId var, double cost);
 
-  // In-place patch mutators for cross-round model reuse. They are the same
-  // operations as the Set* calls above but carry an API contract: they never
-  // touch the constraint matrix, so the cached column-major form (see
-  // EnsureCompressedCache) stays valid across any number of them. The model
-  // patcher (PatchRasModel) uses only these between rounds. Unlike the Set*
-  // calls (which assert), a crossed range (lb > ub) is rejected — the model
-  // is left untouched and false is returned — so a bad patch from corrupted
-  // round input cannot poison the cached model.
-  bool UpdateVariableBounds(VarId var, double lb, double ub) {
-    if (lb > ub) {
-      return false;
-    }
-    variables_[var].lb = lb;
-    variables_[var].ub = ub;
-    return true;
-  }
-  bool UpdateRowBounds(RowId row, double lb, double ub) {
-    if (lb > ub) {
-      return false;
-    }
-    rows_[row].lb = lb;
-    rows_[row].ub = ub;
-    return true;
-  }
-  void UpdateObjectiveCost(VarId var, double cost) { SetObjectiveCost(var, cost); }
-
   size_t num_variables() const { return variables_.size(); }
   size_t num_rows() const { return rows_.size(); }
   size_t num_nonzeros() const { return nonzeros_; }
@@ -114,8 +88,8 @@ class Model {
   CscMatrix CompressedColumns() const;
 
   // Builds (or rebuilds) the cached CSC form. Structural edits (AddVariable /
-  // AddRow / AddCoefficient) drop the cache; the Update* mutators keep it
-  // valid. Not thread-safe — call after the model is fully built and before
+  // AddRow / AddCoefficient) drop the cache; the Set* bound and cost setters
+  // keep it valid. Not thread-safe — call after the model is fully built and before
   // handing it to concurrent solvers.
   void EnsureCompressedCache();
   bool compressed_cache_valid() const { return csc_cache_valid_; }

@@ -126,10 +126,9 @@ struct BoundOverride {
 // A portable snapshot of a simplex basis: the basic column in each row
 // position plus every column's status, with the model shape it belongs to.
 // Exported from one solver after an optimal solve and imported into another
-// (possibly freshly constructed) solver over a structurally identical model —
-// the cross-round resolve cache persists one per (phase, shard) so the next
-// round's root LP restarts from the previous optimum instead of the all-slack
-// basis.
+// (possibly freshly constructed) solver over a structurally identical model;
+// the presolve crossover uses it to lift a reduced LP's basis to the full
+// model.
 struct SimplexBasis {
   std::vector<int32_t> basic;   // Row position -> column (structural or slack).
   std::vector<uint8_t> status;  // Per column; values from SimplexSolver's ColStatus.

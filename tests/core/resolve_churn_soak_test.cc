@@ -1,20 +1,19 @@
-// Randomized churn soak for the incremental re-solve layer: two identical
-// regions evolve under the same seeded churn (reservation add / remove /
-// resize, server kills and revivals, binding materialization); one is solved
-// with the incremental resolve cache on, the other strictly from scratch.
-// Every round, the two must produce identical targets and identical
-// serialized region state — the determinism record behind
-// SolverConfig::incremental_resolve's "timings, not targets" contract.
+// Randomized churn soak for solver statelessness: one region evolves under
+// seeded churn (reservation add / remove / resize, server kills and
+// revivals, binding materialization) while one long-lived AsyncSolver solves
+// every round and persists its targets. Each round a fresh AsyncSolver
+// solves the same snapshot, and the two must produce bitwise-identical
+// targets: nothing the long-lived solver saw in earlier rounds (including
+// discarded degraded-mode solves) may steer this round's answer. Runs once
+// monolithic and once split into four shards.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/async_solver.h"
-#include "src/core/state_io.h"
 #include "src/fleet/fleet_gen.h"
 #include "src/obs/metrics.h"
 #include "src/util/rng.h"
@@ -60,13 +59,10 @@ struct SoakRegion {
   }
 };
 
-// One round of churn, fully determined by (rng state, round index). Both
-// regions consume identical operation streams from identically-seeded rngs,
-// so their worlds stay in lockstep by construction — the solvers are the only
-// difference between them.
+// One round of churn, fully determined by (rng state, round index).
 void ApplyChurn(SoakRegion& region, Rng& rng, int round) {
   const int64_t roll = rng.UniformInt(0, 99);
-  // ~1/5 of rounds are quiet: the skip-solve path must fire there.
+  // ~1/5 of rounds are quiet: an unchanged snapshot.
   if (roll < 20) {
     return;
   }
@@ -112,129 +108,62 @@ void MaterializeTargets(SoakRegion& region) {
   }
 }
 
-std::map<ServerId, ReservationId> Targets(const SoakRegion& region) {
-  std::map<ServerId, ReservationId> targets;
-  for (ServerId id = 0; id < region.broker->num_servers(); ++id) {
-    targets[id] = region.broker->record(id).target;
-  }
-  return targets;
-}
-
-SolverConfig SoakConfig(bool incremental) {
+SolverConfig SoakConfig(int shard_count) {
   SolverConfig config;
-  config.incremental_resolve = incremental;
-  config.phase1_mip.max_nodes = 8;  // Keep 2 x 50 solves fast; skip-solve on
-  config.phase2_mip.max_nodes = 4;  // an unchanged round needs no proof.
+  config.shard_count = shard_count;
+  config.phase1_mip.max_nodes = 8;  // Keep 2 x 50 solves fast.
+  config.phase2_mip.max_nodes = 4;
   return config;
 }
 
-TEST(ResolveChurnSoakTest, FiftyRoundsOfChurnMatchFromScratchBitForBit) {
-  SoakRegion incremental;
-  SoakRegion cold;
-  AsyncSolver inc_solver(SoakConfig(/*incremental=*/true));
-  AsyncSolver cold_solver(SoakConfig(/*incremental=*/false));
-  Rng inc_rng(4242);
-  Rng cold_rng(4242);
+void RunStatelessnessSoak(int shard_count) {
+  SoakRegion region;
+  const SolverConfig config = SoakConfig(shard_count);
+  AsyncSolver long_lived(config);
+  Rng rng(4242);
   obs::Counter& numerical_failures =
       obs::MetricRegistry::Default().counter("ras_simplex_numerical_failures_total", "");
   const int64_t failures_before = numerical_failures.Value();
 
-  int patched_rounds = 0;
-  int skipped_rounds = 0;
-  int warm_rounds = 0;
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    ApplyChurn(incremental, inc_rng, round);
-    ApplyChurn(cold, cold_rng, round);
+    ApplyChurn(region, rng, round);
     if (round == 17 || round == 34) {
-      // Binding materialization reshapes every equivalence class at once —
-      // the hardest structural churn the cache must survive (by rebuilding).
-      MaterializeTargets(incremental);
-      MaterializeTargets(cold);
+      // Binding materialization reshapes every equivalence class at once.
+      MaterializeTargets(region);
+    }
+    const SolveInput input =
+        SnapshotSolveInput(*region.broker, region.registry, region.fleet.catalog);
+    if (round % 9 == 4) {
+      // A degraded-mode solve whose answer is discarded, as when the
+      // supervisor walks its ladder: it must leave nothing behind.
+      ASSERT_TRUE(long_lived.SolveSnapshot(input, nullptr, SolveMode::kPhase1Only).ok());
     }
 
-    auto inc_stats = inc_solver.SolveOnce(*incremental.broker, incremental.registry,
-                                          incremental.fleet.catalog);
-    auto cold_stats =
-        cold_solver.SolveOnce(*cold.broker, cold.registry, cold.fleet.catalog);
-    ASSERT_TRUE(inc_stats.ok()) << inc_stats.status().ToString();
-    ASSERT_TRUE(cold_stats.ok()) << cold_stats.status().ToString();
-
-    // The from-scratch solver must never report reuse.
-    EXPECT_FALSE(cold_stats->model_patched);
-    EXPECT_FALSE(cold_stats->solve_skipped);
-    EXPECT_EQ(cold_stats->delta_servers, -1);
-    // Phase-1 fields: phase 2 solves a different (smaller) problem whose
-    // node-limited rounds may legitimately re-solve instead of skipping.
-    patched_rounds += inc_stats->phase1.model_patched;
-    skipped_rounds += inc_stats->phase1.solve_skipped;
-    warm_rounds += inc_stats->delta_servers >= 0;
-
-    ASSERT_EQ(Targets(incremental), Targets(cold)) << "targets diverged";
-    ASSERT_EQ(SerializeRegionState(*incremental.broker, incremental.registry),
-              SerializeRegionState(*cold.broker, cold.registry))
-        << "serialized region state diverged";
+    DecodedAssignment fresh;
+    auto fresh_stats = AsyncSolver(config).SolveSnapshot(input, &fresh);
+    DecodedAssignment live;
+    auto live_stats = long_lived.SolveSnapshot(input, &live);
+    ASSERT_TRUE(fresh_stats.ok()) << fresh_stats.status().ToString();
+    ASSERT_TRUE(live_stats.ok()) << live_stats.status().ToString();
+    ASSERT_EQ(live_stats->shard_count, shard_count);
+    ASSERT_EQ(live.targets, fresh.targets) << "targets diverged";
+    EXPECT_EQ(live_stats->phase1.objective, fresh_stats->phase1.objective);
+    EXPECT_EQ(live_stats->phase2.objective, fresh_stats->phase2.objective);
+    ASSERT_TRUE(region.broker->ApplyTargets(live.targets).ok());
   }
 
-  // The soak only proves parity if the reuse machinery actually engaged.
-  EXPECT_GT(patched_rounds, 0) << "no round ever patched the cached model";
-  EXPECT_GT(skipped_rounds, 0) << "no quiet round ever took the skip-solve path";
-  EXPECT_GT(warm_rounds, patched_rounds / 2);
-  // No LP solve of either pipeline hit a singular basis or a failed clean
-  // pass (branch-and-bound would silently drop such nodes).
+  // No LP solve hit a singular basis or a failed clean pass (branch-and-bound
+  // would silently drop such nodes).
   EXPECT_EQ(numerical_failures.Value(), failures_before);
 }
 
-TEST(ResolveChurnSoakTest, RollbackFailedPersistForcesNextRoundCold) {
-  // A broker write fault rolls the whole target batch back; the resolve cache
-  // must not let the next round diff against the round that never landed.
-  SoakRegion region;
-  AsyncSolver solver(SoakConfig(/*incremental=*/true));
-  ASSERT_TRUE(
-      solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog).ok());
-  EXPECT_FALSE(solver.resolve_cache().empty());
-
-  ReservationSpec spec = *region.registry.Find(region.services[0]);
-  spec.capacity_rru += 6;
-  ASSERT_TRUE(region.registry.Update(spec).ok());
-  region.broker->SetWriteFaultHook([](ServerId, ReservationId) { return true; });
-  EXPECT_FALSE(
-      solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog).ok());
-  region.broker->SetWriteFaultHook(nullptr);
-  EXPECT_TRUE(solver.resolve_cache().empty()) << "rollback left warm state behind";
-
-  auto stats = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->delta_servers, -1) << "round after a rollback was not cold";
-  EXPECT_FALSE(stats->model_patched);
+TEST(ResolveChurnSoakTest, FiftyRoundsOfChurnMatchAFreshSolverBitForBit) {
+  RunStatelessnessSoak(/*shard_count=*/1);
 }
 
-TEST(ResolveChurnSoakTest, DegradedModeSolveForcesNextRoundCold) {
-  SoakRegion region;
-  AsyncSolver solver(SoakConfig(/*incremental=*/true));
-  ASSERT_TRUE(
-      solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog).ok());
-
-  // An unchanged full round rides the cache.
-  auto warm = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_GE(warm->delta_servers, 0);
-  EXPECT_TRUE(warm->phase1.solve_skipped);
-
-  // A degraded-mode solve (supervisor ladder rung) drops every entry...
-  ASSERT_TRUE(solver
-                  .SolveOnce(*region.broker, region.registry, region.fleet.catalog,
-                             SolveMode::kPhase1Only)
-                  .ok());
-  EXPECT_TRUE(solver.resolve_cache().empty());
-
-  // ...so the next full round is cold, then warms back up.
-  auto after = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->delta_servers, -1);
-  auto rewarmed = solver.SolveOnce(*region.broker, region.registry, region.fleet.catalog);
-  ASSERT_TRUE(rewarmed.ok());
-  EXPECT_GE(rewarmed->delta_servers, 0);
+TEST(ResolveChurnSoakTest, FiftyShardedRoundsOfChurnMatchAFreshSolverBitForBit) {
+  RunStatelessnessSoak(/*shard_count=*/4);
 }
 
 }  // namespace

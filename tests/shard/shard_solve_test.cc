@@ -151,7 +151,7 @@ TEST(ShardSolveTest, FailedShardKeepsSnapshotBindingsAndRepairCovers) {
   ASSERT_FALSE(demand.span[0].empty());
   const int crashed = demand.span[0].front();
   int calls = 0;
-  ShardSolveFn solve_shard = [&calls](int /*shard*/, const SolveInput& shard_input,
+  ShardSolveFn solve_shard = [&calls](const SolveInput& shard_input,
                                       DecodedAssignment* decoded) -> Result<SolveStats> {
     if (calls++ == 0) {
       return Status::Internal("injected shard crash");

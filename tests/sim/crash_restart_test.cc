@@ -233,11 +233,11 @@ TEST(CrashRestartTest, RepeatedCrashRestartLineageStaysConsistent) {
   EXPECT_GT(final_scenario.durable->generation(), last_generation);
 }
 
-TEST(CrashRestartTest, RecoveryColdStartsTheResolveCache) {
-  // Durable-control-plane recovery restores broker + registry state but must
-  // never resurrect cross-round solver warm state: the first round after a
-  // recovery always runs cold (delta_servers == -1), then warms back up.
-  std::string dir = ::testing::TempDir() + "/resolve-cold";
+TEST(CrashRestartTest, RecoveredRegionServesATopRungRound) {
+  // Durable-control-plane recovery restores broker + registry state; the
+  // first round after it must be served by the full two-phase solve and keep
+  // the reservation partition whole.
+  std::string dir = ::testing::TempDir() + "/recovered-round";
   WipeDir(dir);
   {
     RegionScenario s(DrillScenario(dir));
@@ -245,19 +245,14 @@ TEST(CrashRestartTest, RecoveryColdStartsTheResolveCache) {
     ASSERT_TRUE(s.AdmitReservation(AnySpec(s, "svc", 16)).ok());
     ASSERT_TRUE(s.SolveRound().ok());
     ASSERT_TRUE(s.SolveRound().ok());
-    const auto& rounds = s.supervisor->stats().rounds;
-    ASSERT_EQ(rounds.size(), 2u);
-    EXPECT_EQ(rounds[0].delta_servers, -1);  // First-ever round: cold.
-    EXPECT_GE(rounds[1].delta_servers, 0) << "continuity lost across healthy rounds";
   }
   RegionScenario r(DrillScenario(dir));
   ASSERT_TRUE(r.recovery.status.ok()) << r.recovery.status.ToString();
   ASSERT_TRUE(r.recovery.recovered_state);
-  EXPECT_TRUE(r.solver.resolve_cache().empty());
   ASSERT_TRUE(r.SolveRound().ok());
   const auto& rounds = r.supervisor->stats().rounds;
   ASSERT_EQ(rounds.size(), 1u);
-  EXPECT_EQ(rounds[0].delta_servers, -1) << "the round after recovery was not cold";
+  EXPECT_EQ(rounds[0].rung, LadderRung::kFullTwoPhase);
   ExpectConservation(r);
 }
 

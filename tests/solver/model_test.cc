@@ -162,10 +162,9 @@ TEST(ModelTest, MemoryBytesGrowsWithSize) {
   EXPECT_GT(big.MemoryBytes(), small.MemoryBytes() + 1000 * sizeof(RowEntry));
 }
 
-TEST(ModelTest, UpdateBoundsAfterCompressedCacheKeepsCacheAndSolverCurrent) {
-  // PatchRasModel mutates bounds on a model whose CSC cache was already
-  // built by a previous solve. The cache covers coefficients only, so it
-  // must stay valid, and a fresh solve must see the new bounds.
+TEST(ModelTest, SetBoundsAfterCompressedCacheKeepsCacheAndSolverCurrent) {
+  // The CSC cache covers coefficients only, so bound setters must leave it
+  // valid, and a fresh solve must see the new bounds.
   Model m;
   m.AddContinuous(0, 10, -1.0);
   m.AddContinuous(0, 10, -1.0);
@@ -175,8 +174,8 @@ TEST(ModelTest, UpdateBoundsAfterCompressedCacheKeepsCacheAndSolverCurrent) {
   m.EnsureCompressedCache();
   ASSERT_TRUE(m.compressed_cache_valid());
 
-  EXPECT_TRUE(m.UpdateVariableBounds(0, 0, 3));
-  EXPECT_TRUE(m.UpdateRowBounds(r, -kInf, 5));
+  m.SetVariableBounds(0, 0, 3);
+  m.SetRowBounds(r, -kInf, 5);
   EXPECT_TRUE(m.compressed_cache_valid());
 
   LpResult result = SimplexSolver().Solve(m);
@@ -184,21 +183,6 @@ TEST(ModelTest, UpdateBoundsAfterCompressedCacheKeepsCacheAndSolverCurrent) {
   // x0 <= 3 (variable bound), x0 + x1 <= 5 (row bound): optimum 3 + 2.
   EXPECT_NEAR(result.x[0], 3.0, 1e-7);
   EXPECT_NEAR(result.x[1], 2.0, 1e-7);
-}
-
-TEST(ModelTest, UpdateBoundsRejectsCrossedRangeWithoutMutating) {
-  Model m;
-  m.AddContinuous(1, 4, -1.0);
-  RowId r = m.AddRow(2, 8);
-  m.AddCoefficient(r, 0, 1.0);
-
-  EXPECT_FALSE(m.UpdateVariableBounds(0, 5, 3));
-  EXPECT_EQ(m.variable(0).lb, 1);
-  EXPECT_EQ(m.variable(0).ub, 4);
-
-  EXPECT_FALSE(m.UpdateRowBounds(r, 9, 2));
-  EXPECT_EQ(m.row(r).lb, 2);
-  EXPECT_EQ(m.row(r).ub, 8);
 }
 
 }  // namespace

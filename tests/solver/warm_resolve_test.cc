@@ -114,10 +114,10 @@ TEST(WarmResolveTest, FallsBackToColdForDifferentModel) {
 }
 
 TEST(WarmResolveTest, MatchesColdSolveAfterRowBoundChange) {
-  // Cross-round model patching changes RHS ranges in place
-  // (Model::UpdateRowBounds); the retained basis must survive, because the
-  // basis matrix depends only on the coefficients, and the warm resolve must
-  // land on the same optimum as a cold solve of the patched model.
+  // Changing RHS ranges in place (Model::SetRowBounds) must keep the
+  // retained basis, because the basis matrix depends only on the
+  // coefficients, and the warm resolve must land on the same optimum as a
+  // cold solve of the changed model.
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> ref;
     Model m = RandomLp(7300 + static_cast<uint64_t>(trial), 10, 7, &ref);
@@ -126,7 +126,7 @@ TEST(WarmResolveTest, MatchesColdSolveAfterRowBoundChange) {
     ASSERT_EQ(base.status, LpStatus::kOptimal);
 
     // Widen or shift each row's range around its reference activity; the
-    // reference point stays feasible, so the patched LP stays feasible.
+    // reference point stays feasible, so the changed LP stays feasible.
     Rng rng(7400 + static_cast<uint64_t>(trial));
     for (size_t r = 0; r < m.num_rows(); ++r) {
       if (!rng.Bernoulli(0.5)) {
@@ -136,7 +136,7 @@ TEST(WarmResolveTest, MatchesColdSolveAfterRowBoundChange) {
       for (const RowEntry& e : m.row_entries(r)) {
         activity += e.coeff * ref[static_cast<size_t>(e.var)];
       }
-      m.UpdateRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.3, 3),
+      m.SetRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.3, 3),
                         activity + rng.Uniform(0.3, 3));
     }
 
@@ -151,10 +151,9 @@ TEST(WarmResolveTest, MatchesColdSolveAfterRowBoundChange) {
 }
 
 TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
-  // Acquire costs flip between 0 and config.acquire_cost when a class's
-  // current holder changes round-over-round (Model::UpdateObjectiveCost);
-  // bases stay primal-feasible under any cost change, so the warm resolve is
-  // pure phase-2 pivoting and must match a cold solve.
+  // Cost changes (Model::SetObjectiveCost) keep every basis primal-feasible,
+  // so the warm resolve is pure phase-2 pivoting and must match a cold
+  // solve.
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> ref;
     Model m = RandomLp(7500 + static_cast<uint64_t>(trial), 10, 7, &ref);
@@ -164,7 +163,7 @@ TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
     Rng rng(7600 + static_cast<uint64_t>(trial));
     for (size_t j = 0; j < m.num_variables(); ++j) {
       if (rng.Bernoulli(0.4)) {
-        m.UpdateObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
+        m.SetObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
       }
     }
 
@@ -179,8 +178,8 @@ TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
 }
 
 TEST(WarmResolveTest, SingularStaleBasisDetectedOnImport) {
-  // A stale cross-round basis can be singular against the current model
-  // (e.g. coefficients changed underneath it). ImportBasis must detect this
+  // A stale basis can be singular against the current model (e.g.
+  // coefficients changed underneath it). ImportBasis must detect this
   // during its from-scratch refactorization and refuse — leaving the solver
   // cold and correct — never install it and return garbage.
   Model m;
@@ -217,9 +216,9 @@ TEST(WarmResolveTest, SingularStaleBasisDetectedOnImport) {
 }
 
 TEST(WarmResolveTest, ExportedBasisRoundTripsThroughImport) {
-  // The resolve cache's basis lifecycle: export after an optimal solve,
-  // import into a fresh solver over the same model, and resolve — the warm
-  // restart must reach the optimum in (nearly) zero pivots.
+  // The basis lifecycle: export after an optimal solve, import into a fresh
+  // solver over the same model, and resolve — the warm restart must reach
+  // the optimum in (nearly) zero pivots.
   std::vector<double> ref;
   Model m = RandomLp(7700, 24, 16, &ref);
   SimplexSolver first;
@@ -257,11 +256,11 @@ TEST(WarmResolveTest, ChainOfResolves) {
 }
 
 TEST(WarmResolveTest, DualSimplexResolveMatchesFreshPrimalFieldForField) {
-  // The PatchRasModel shape: solve, mutate row bounds in place (costs
-  // untouched, so the optimal basis stays dual-feasible), warm-resolve. The
-  // dual kernel must run, take pivots, and land on exactly the answer a
-  // fresh primal solve of the patched model produces — status, objective,
-  // every primal value, every dual.
+  // Solve, mutate row bounds in place (costs untouched, so the optimal
+  // basis stays dual-feasible), warm-resolve. The dual kernel must run, take
+  // pivots, and land on exactly the answer a fresh primal solve of the
+  // changed model produces — status, objective, every primal value, every
+  // dual.
   int dual_ran = 0;
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> ref;
@@ -278,7 +277,7 @@ TEST(WarmResolveTest, DualSimplexResolveMatchesFreshPrimalFieldForField) {
       for (const RowEntry& e : m.row_entries(r)) {
         activity += e.coeff * ref[static_cast<size_t>(e.var)];
       }
-      m.UpdateRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.1, 0.8),
+      m.SetRowBounds(static_cast<RowId>(r), activity - rng.Uniform(0.1, 0.8),
                         activity + rng.Uniform(0.1, 0.8));
     }
 
@@ -407,7 +406,7 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
 
   Rng rng(9301);
   for (size_t j = 0; j < m.num_variables(); ++j) {
-    m.UpdateObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
+    m.SetObjectiveCost(static_cast<VarId>(j), rng.Uniform(-3, 3));
   }
   // Also perturb one row so the basis is primal-infeasible too — the gate
   // must reject on dual-infeasibility even when a dual start is "needed".
@@ -415,7 +414,7 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
   for (const RowEntry& e : m.row_entries(0)) {
     activity += e.coeff * ref[static_cast<size_t>(e.var)];
   }
-  m.UpdateRowBounds(0, activity - 0.2, activity + 0.2);
+  m.SetRowBounds(0, activity - 0.2, activity + 0.2);
 
   LpResult warm = warm_solver.ResolveWithBasis(m, {});
   EXPECT_FALSE(warm.used_dual_simplex);
@@ -430,7 +429,7 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
 
 TEST(WarmResolveTest, DualResolveDisabledByOption) {
   // With the knob off the resolve must never enter the dual kernel, whatever
-  // the patch looks like — the pre-PR behavior, bit for bit.
+  // the bound change looks like.
   std::vector<double> ref;
   LpOptions options;
   options.dual_resolve = false;
@@ -442,7 +441,7 @@ TEST(WarmResolveTest, DualResolveDisabledByOption) {
     for (const RowEntry& e : m.row_entries(r)) {
       activity += e.coeff * ref[static_cast<size_t>(e.var)];
     }
-    m.UpdateRowBounds(static_cast<RowId>(r), activity - 0.3, activity + 0.3);
+    m.SetRowBounds(static_cast<RowId>(r), activity - 0.3, activity + 0.3);
   }
   LpResult warm = solver.ResolveWithBasis(m, {});
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
