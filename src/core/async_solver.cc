@@ -64,8 +64,6 @@ double ComputeShortfall(const SolveInput& input,
 void SummarizePhases(SolveStats& stats) {
   stats.dual_resolves = stats.phase1.dual_resolves + stats.phase2.dual_resolves;
   stats.dual_iterations = stats.phase1.dual_iterations + stats.phase2.dual_iterations;
-  stats.presolve_rows_removed =
-      stats.phase1.presolve_rows_removed + stats.phase2.presolve_rows_removed;
 }
 
 // Metrics recorded once per completed solve (any mode, monolithic or
@@ -80,15 +78,12 @@ void RecordSolveMetrics(const SolveStats& stats) {
       "ras_solver_dual_resolves_total", "Node LPs re-optimized by the dual simplex kernel.");
   static obs::Counter& dual_iterations = reg.counter(
       "ras_solver_dual_iterations_total", "Dual simplex pivots across completed solves.");
-  static obs::Counter& presolve_rows = reg.counter(
-      "ras_solver_presolve_rows_removed_total", "Rows removed by LP presolve across solves.");
   static obs::Histogram& seconds = reg.histogram(
       "ras_solver_solve_seconds", "End-to-end solve wall time.", 0.0, 30.0, 120);
   solves.Add();
   moves.Add(static_cast<int64_t>(stats.moves_total));
   dual_resolves.Add(stats.dual_resolves);
   dual_iterations.Add(stats.dual_iterations);
-  presolve_rows.Add(stats.presolve_rows_removed);
   seconds.Observe(stats.total_seconds);
 }
 
@@ -158,7 +153,6 @@ AsyncSolver::PhaseOutcome AsyncSolver::RunPhase(const SolveInput& input,
     outcome.stats.nodes = mip.nodes;
     outcome.stats.dual_resolves = mip.dual_resolves;
     outcome.stats.dual_iterations = mip.lp_dual_iterations;
-    outcome.stats.presolve_rows_removed = mip.presolve_rows_removed;
     outcome.stats.best_bound = mip.best_bound;
     if (mip.status == MipStatus::kOptimal || mip.status == MipStatus::kFeasible) {
       solution = std::move(mip.x);

@@ -67,12 +67,10 @@ struct PhaseStats {
   // benchmark change deletes them.
   bool model_patched = false;
   bool solve_skipped = false;
-  // Solver-layer re-optimization telemetry (presolve + dual simplex), summed
-  // over every LP the phase ran: node LPs served by the dual kernel, the
-  // dual pivots they took, and rows presolve removed from cold solves.
+  // Dual simplex telemetry summed over every LP the phase ran: node LPs
+  // served by the dual kernel and the dual pivots they took.
   int64_t dual_resolves = 0;
   int64_t dual_iterations = 0;
-  int64_t presolve_rows_removed = 0;
 };
 
 struct SolveStats {
@@ -92,10 +90,9 @@ struct SolveStats {
   size_t repair_moves = 0;
   double repair_shortfall_before_rru = 0.0;
 
-  // Solver-layer re-optimization totals summed across phases (and shards).
+  // Dual simplex totals summed across phases (and shards).
   int64_t dual_resolves = 0;
   int64_t dual_iterations = 0;
-  int64_t presolve_rows_removed = 0;
 };
 
 class AsyncSolver {

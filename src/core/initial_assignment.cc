@@ -86,11 +86,64 @@ std::vector<double> RepairCounts(const SolveInput& input,
     return total_rru[res] - removed - worst;
   };
 
-  // Donor fallback once free supply is gone: move one server to reservation
-  // r from another reservation that still covers its own C_r without it.
-  // Without this, a reservation whose every eligible server is bound
-  // elsewhere — typically a one-server shared buffer whose server just went
-  // down — carries its whole shortfall into the warm start. Tries r's MSBs
+  const int max_iterations = static_cast<int>(input.servers.size()) + 1024;
+
+  auto has_supply = [&](const std::vector<Candidate>& cands) {
+    return std::any_of(cands.begin(), cands.end(), [&](const Candidate& cand) {
+      return free_in_class[cand.class_index] > 0.0;
+    });
+  };
+  // Adds free servers to reservation r one at a time, each to the compatible
+  // MSB where r holds the least RRU — this simultaneously fills capacity and
+  // minimizes the embedded buffer (adding below the max never raises it) —
+  // until r covers its C_r. False when r's free supply runs out first.
+  auto fill_from_free = [&](size_t r) {
+    const double capacity = input.reservations[r].capacity_rru;
+    for (int guard = 0; effective_without(r, 0, 0.0) + 1e-9 < capacity; ++guard) {
+      uint32_t best_msb = 0;
+      double best_rru = kInf;
+      bool found = false;
+      for (auto& [msb, cands] : free_candidates[r]) {
+        if (!has_supply(cands)) {
+          continue;
+        }
+        double rru = 0.0;
+        auto it = msb_rru[r].find(msb);
+        if (it != msb_rru[r].end()) {
+          rru = it->second;
+        }
+        if (rru < best_rru) {
+          best_rru = rru;
+          best_msb = msb;
+          found = true;
+        }
+      }
+      if (!found || guard >= max_iterations) {
+        return false;
+      }
+      for (const Candidate& cand : free_candidates[r][best_msb]) {
+        if (free_in_class[cand.class_index] <= 0.0) {
+          continue;
+        }
+        counts[static_cast<size_t>(cand.var_index)] += 1.0;
+        free_in_class[cand.class_index] -= 1.0;
+        msb_rru[r][best_msb] += cand.value;
+        total_rru[r] += cand.value;
+        break;
+      }
+    }
+    return true;
+  };
+
+  // Donor fallback once r's free supply is gone: move one server to r from
+  // another reservation d that still covers its own C_r afterwards. Without
+  // this, a reservation whose every eligible server is bound elsewhere —
+  // typically a one-server shared buffer whose server just went down —
+  // carries its whole shortfall into the warm start. A donor with surplus
+  // gives the server up as it is. When every donor is tight, one that can
+  // refill its C_r from its own free supply (other types, other MSBs) gives
+  // it up and is refilled on the spot, whatever its position in id order;
+  // a donor whose refill falls short is restored exactly. Tries r's MSBs
   // least-loaded first (the free fill's spread-first order), r's most
   // valuable classes first, and donors in assignment-var order.
   auto take_from_donor = [&](size_t r) {
@@ -113,30 +166,58 @@ std::vector<double> RepairCounts(const SolveInput& input,
     }
     std::stable_sort(msbs.begin(), msbs.end(),
                      [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& entry : msbs) {
-      uint32_t msb = entry.second;
-      for (const Candidate& cand : mine[msb]) {
-        if (cand.value <= 0.0) {
-          continue;
-        }
-        HardwareTypeId type = classes[cand.class_index].type;
-        for (int kd : built.class_to_vars[cand.class_index]) {
-          size_t d = static_cast<size_t>(built.assignment_vars[static_cast<size_t>(kd)]
-                                             .reservation_index);
-          if (d == r || counts[static_cast<size_t>(kd)] < 1.0) {
+    for (bool refill_donor : {false, true}) {
+      for (const auto& entry : msbs) {
+        uint32_t msb = entry.second;
+        for (const Candidate& cand : mine[msb]) {
+          if (cand.value <= 0.0) {
             continue;
           }
-          double donor_value = input.reservations[d].ValueOfType(type);
-          if (effective_without(d, msb, donor_value) + 1e-9 < input.reservations[d].capacity_rru) {
-            continue;
+          HardwareTypeId type = classes[cand.class_index].type;
+          for (int kd : built.class_to_vars[cand.class_index]) {
+            size_t d = static_cast<size_t>(built.assignment_vars[static_cast<size_t>(kd)]
+                                               .reservation_index);
+            if (d == r || counts[static_cast<size_t>(kd)] < 1.0) {
+              continue;
+            }
+            double donor_value = input.reservations[d].ValueOfType(type);
+            const bool surplus = effective_without(d, msb, donor_value) + 1e-9 >=
+                                 input.reservations[d].capacity_rru;
+            // Surplus donors go in the first pass, tight ones in the second.
+            if (surplus == refill_donor) {
+              continue;
+            }
+            if (refill_donor &&
+                std::none_of(free_candidates[d].begin(), free_candidates[d].end(),
+                             [&](const auto& entry) { return has_supply(entry.second); })) {
+              continue;  // No free supply to refill from.
+            }
+            // A tight donor's state is saved so that a refill falling short
+            // can be undone exactly.
+            std::vector<double> counts_before;
+            std::vector<double> free_before;
+            std::map<uint32_t, double> donor_msb_before;
+            const double donor_total_before = total_rru[d];
+            if (refill_donor) {
+              counts_before = counts;
+              free_before = free_in_class;
+              donor_msb_before = msb_rru[d];
+            }
+            counts[static_cast<size_t>(kd)] -= 1.0;
+            msb_rru[d][msb] -= donor_value;
+            total_rru[d] -= donor_value;
+            if (refill_donor && !fill_from_free(d)) {
+              counts = std::move(counts_before);
+              free_in_class = std::move(free_before);
+              msb_rru[d] = std::move(donor_msb_before);
+              total_rru[d] = donor_total_before;
+              continue;
+            }
+            counts[static_cast<size_t>(cand.var_index)] += 1.0;
+            msb_rru[r][msb] += cand.value;
+            total_rru[r] += cand.value;
+            return true;
           }
-          counts[static_cast<size_t>(kd)] -= 1.0;
-          msb_rru[d][msb] -= donor_value;
-          total_rru[d] -= donor_value;
-          counts[static_cast<size_t>(cand.var_index)] += 1.0;
-          msb_rru[r][msb] += cand.value;
-          total_rru[r] += cand.value;
-          return true;
         }
       }
     }
@@ -149,54 +230,9 @@ std::vector<double> RepairCounts(const SolveInput& input,
       continue;  // Not part of this build (phase-2 subset).
     }
     const ReservationSpec& spec = input.reservations[r];
-    auto effective = [&]() { return effective_without(r, 0, 0.0); };
-
-    // Add one server at a time to the compatible MSB with the least RRU for
-    // this reservation; this simultaneously fills capacity and minimizes the
-    // embedded buffer (adding below the max never raises it).
-    int guard = 0;
-    const int max_iterations = static_cast<int>(input.servers.size()) + 1024;
-    while (effective() + 1e-9 < spec.capacity_rru && guard++ < max_iterations) {
-      uint32_t best_msb = 0;
-      double best_rru = kInf;
-      bool found = false;
-      for (auto& [msb, cands] : free_candidates[r]) {
-        bool has_supply = false;
-        for (const Candidate& cand : cands) {
-          if (free_in_class[cand.class_index] > 0.0) {
-            has_supply = true;
-            break;
-          }
-        }
-        if (!has_supply) {
-          continue;
-        }
-        double rru = 0.0;
-        auto it = msb_rru[r].find(msb);
-        if (it != msb_rru[r].end()) {
-          rru = it->second;
-        }
-        if (rru < best_rru) {
-          best_rru = rru;
-          best_msb = msb;
-          found = true;
-        }
-      }
-      if (!found) {
-        if (take_from_donor(r)) {
-          continue;
-        }
+    for (int guard = 0; !fill_from_free(r) && guard < max_iterations; ++guard) {
+      if (!take_from_donor(r)) {
         break;  // Region exhausted; the shortfall slack absorbs the rest.
-      }
-      for (const Candidate& cand : free_candidates[r][best_msb]) {
-        if (free_in_class[cand.class_index] <= 0.0) {
-          continue;
-        }
-        counts[static_cast<size_t>(cand.var_index)] += 1.0;
-        free_in_class[cand.class_index] -= 1.0;
-        msb_rru[r][best_msb] += cand.value;
-        total_rru[r] += cand.value;
-        break;
       }
     }
 

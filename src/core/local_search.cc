@@ -10,6 +10,13 @@
 namespace ras {
 namespace {
 
+// Smallest accepted gain, relative to the objective. Objectives run to
+// 1e5-1e6 (softened-constraint slacks cost up to 1e6 per RRU), where a
+// cost-neutral move recomputes to a few ulps either side of its old cost —
+// some 1e-15 of the objective. Real gains, a cost coefficient (at least 1)
+// times an RRU step, sit orders of magnitude above this bar.
+constexpr double kMinRelativeGain = 1e-12;
+
 // Incremental objective state. Every coefficient is extracted from the built
 // model itself, so the local search optimizes exactly what the MIP would.
 class ObjectiveState {
@@ -336,7 +343,9 @@ LocalSearchResult LocalSearchOptimize(const SolveInput& input,
       after += state.VarCost(k2);
     }
 
-    if (after < before - 1e-9) {
+    // A move must gain more than rounding noise, which scales with the
+    // objective.
+    if (after < before - kMinRelativeGain * std::max(1.0, std::fabs(current))) {
       current += after - before;
       reservation_cost[r1] = after_r1;
       if (two_reservations) {

@@ -39,7 +39,6 @@ void AccumulatePhase(PhaseStats& into, const PhaseStats& from) {
   into.nodes += from.nodes;
   into.dual_resolves += from.dual_resolves;
   into.dual_iterations += from.dual_iterations;
-  into.presolve_rows_removed += from.presolve_rows_removed;
   into.ran = true;
 }
 

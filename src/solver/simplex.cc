@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "src/obs/metrics.h"
-#include "src/solver/presolve.h"
 
 namespace ras {
 namespace {
@@ -25,8 +24,6 @@ void RecordLpMetrics(const LpResult& result) {
       "ras_simplex_dual_resolves_total", "Warm resolves served by the dual simplex kernel.");
   static obs::Counter& dual_iterations =
       reg.counter("ras_simplex_dual_iterations_total", "Dual simplex pivots across all solves.");
-  static obs::Counter& presolve_rows = reg.counter(
-      "ras_simplex_presolve_rows_removed_total", "Rows removed by presolve across cold solves.");
   static obs::Counter& numerical_failures = reg.counter(
       "ras_simplex_numerical_failures_total",
       "LP solves that ended NUMERICAL_FAILURE.");
@@ -37,7 +34,6 @@ void RecordLpMetrics(const LpResult& result) {
     dual_resolves.Add();
   }
   dual_iterations.Add(result.dual_iterations);
-  presolve_rows.Add(result.presolve_rows_removed);
   if (result.status == LpStatus::kNumericalFailure) {
     numerical_failures.Add();
   }
@@ -249,86 +245,27 @@ void SimplexSolver::RefreshBounds(const Model& model, const std::vector<BoundOve
 }
 
 LpResult SimplexSolver::Solve(const Model& model, const std::vector<BoundOverride>& overrides) {
-  LpResult result;
-  bool solved = false;
-  if (options_.presolve && model.num_rows() > 0) {
-    PresolveOptions popts;
-    PresolvedLp pre;
-    if (pre.Reduce(model, overrides, popts)) {
-      if (pre.stats().infeasible) {
-        // An exact reduction (empty-row range check, crossed bounds after a
-        // fold) proved infeasibility without a single pivot.
-        basis_valid_ = false;
-        result.status = LpStatus::kInfeasible;
-        result.presolve_rows_removed = pre.stats().rows_removed;
-        result.presolve_vars_removed = pre.stats().vars_removed;
-        solved = true;
-      } else {
-        LpResult reduced = SolveDirect(pre.reduced(), {});
-        if (reduced.status == LpStatus::kInfeasible || reduced.status == LpStatus::kUnbounded) {
-          // Every reduction is feasibility- and boundedness-preserving in both
-          // directions, so the reduced verdict transfers to the full model.
-          basis_valid_ = false;
-          result = reduced;
-          result.x.clear();
-          result.duals.clear();
-          result.presolve_rows_removed = pre.stats().rows_removed;
-          result.presolve_vars_removed = pre.stats().vars_removed;
-          solved = true;
-        } else if (reduced.status == LpStatus::kOptimal) {
-          // Postsolve the reduced basis onto the full model and let the
-          // primal loop verify it (typically zero pivots plus one clean
-          // refactorization); it also produces the full-length x and duals.
-          SimplexBasis full_basis = pre.RestoreBasis(ExportBasis());
-          if (ImportBasisInternal(model, full_basis, overrides)) {
-            LpResult verified = RunSimplex(model);
-            if (verified.status == LpStatus::kOptimal) {
-              verified.iterations += reduced.iterations;
-              verified.refactorizations += reduced.refactorizations;
-              verified.adaptive_refactorizations += reduced.adaptive_refactorizations;
-              verified.eta_nonzeros += reduced.eta_nonzeros;
-              verified.full_pricing_scans += reduced.full_pricing_scans;
-              verified.presolve_rows_removed = pre.stats().rows_removed;
-              verified.presolve_vars_removed = pre.stats().vars_removed;
-              result = std::move(verified);
-              solved = true;
-            } else {
-              basis_valid_ = false;  // Fall through to the plain cold solve.
-            }
-          }
-        }
-        // Iteration-limit / numerical verdicts on the reduction fall through
-        // to the plain cold path rather than guessing.
-      }
-    }
-  }
-  if (!solved) {
-    result = SolveDirect(model, overrides);
-  }
-  RecordLpMetrics(result);
-  return result;
-}
-
-LpResult SimplexSolver::SolveDirect(const Model& model,
-                                    const std::vector<BoundOverride>& overrides) {
   basis_valid_ = false;
   BuildColumns(model, overrides);
+  LpResult result;
   // Reject empty-range variables early (branching can create lb > ub).
-  for (int32_t j = 0; j < total_; ++j) {
-    if (lb_[j] > ub_[j]) {
-      LpResult result;
-      result.status = LpStatus::kInfeasible;
-      return result;
+  bool crossed = false;
+  for (int32_t j = 0; j < total_ && !crossed; ++j) {
+    crossed = lb_[j] > ub_[j];
+  }
+  if (crossed) {
+    result.status = LpStatus::kInfeasible;
+  } else {
+    InitializeBasis();
+    result = RunSimplex(model);
+    if (result.status == LpStatus::kOptimal) {
+      basis_valid_ = true;
+      prepared_rows_ = model.num_rows();
+      prepared_vars_ = model.num_variables();
+      prepared_nonzeros_ = model.num_nonzeros();
     }
   }
-  InitializeBasis();
-  LpResult result = RunSimplex(model);
-  if (result.status == LpStatus::kOptimal) {
-    basis_valid_ = true;
-    prepared_rows_ = model.num_rows();
-    prepared_vars_ = model.num_variables();
-    prepared_nonzeros_ = model.num_nonzeros();
-  }
+  RecordLpMetrics(result);
   return result;
 }
 
@@ -388,7 +325,7 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   // pivots already taken.
   LpResult dual_accum;
   bool used_dual = false;
-  if (options_.dual_resolve && TotalInfeasibility() > options_.feasibility_tol &&
+  if (TotalInfeasibility() > options_.feasibility_tol &&
       DualFeasibleBasis(options_.optimality_tol)) {
     used_dual = true;
     if (!RunDualSimplex(&dual_accum)) {
@@ -407,95 +344,8 @@ LpResult SimplexSolver::ResolveWithBasis(const Model& model,
   return result;
 }
 
-SimplexBasis SimplexSolver::ExportBasis() const {
-  SimplexBasis out;
-  if (!basis_valid_) {
-    return out;
-  }
-  out.basic = basis_;
-  out.status.resize(status_.size());
-  for (size_t j = 0; j < status_.size(); ++j) {
-    out.status[j] = static_cast<uint8_t>(status_[j]);
-  }
-  out.rows = prepared_rows_;
-  out.vars = prepared_vars_;
-  out.nonzeros = prepared_nonzeros_;
-  return out;
-}
-
-bool SimplexSolver::ImportBasis(const Model& model, const SimplexBasis& basis) {
-  return ImportBasisInternal(model, basis, {});
-}
-
-bool SimplexSolver::ImportBasisInternal(const Model& model, const SimplexBasis& basis,
-                                        const std::vector<BoundOverride>& overrides) {
-  basis_valid_ = false;
-  if (basis.empty() || basis.rows != model.num_rows() || basis.vars != model.num_variables() ||
-      basis.nonzeros != model.num_nonzeros()) {
-    return false;
-  }
-  BuildColumns(model, overrides);
-  if (basis.basic.size() != static_cast<size_t>(m_) ||
-      basis.status.size() != static_cast<size_t>(total_)) {
-    return false;
-  }
-  status_.resize(total_);
-  for (int32_t j = 0; j < total_; ++j) {
-    if (basis.status[j] > static_cast<uint8_t>(ColStatus::kFree)) {
-      return false;
-    }
-    status_[j] = static_cast<ColStatus>(basis.status[j]);
-  }
-  basis_ = basis.basic;
-  basis_pos_.assign(total_, -1);
-  for (int32_t pos = 0; pos < m_; ++pos) {
-    int32_t col = basis_[pos];
-    if (col < 0 || col >= total_ || basis_pos_[col] != -1 || status_[col] != ColStatus::kBasic) {
-      return false;  // Out-of-range, duplicate, or status-inconsistent entry.
-    }
-    basis_pos_[col] = pos;
-  }
-  // Nonbasic columns sit on the bound their status claims; statuses pointing
-  // at an infinite bound (the model's bounds moved under the snapshot) are
-  // re-snapped the same way a cold start would place them.
-  value_.assign(total_, 0.0);
-  for (int32_t j = 0; j < total_; ++j) {
-    switch (status_[j]) {
-      case ColStatus::kBasic:
-        break;
-      case ColStatus::kAtLower:
-        if (std::isfinite(lb_[j])) {
-          value_[j] = lb_[j];
-        } else if (std::isfinite(ub_[j])) {
-          status_[j] = ColStatus::kAtUpper;
-          value_[j] = ub_[j];
-        } else {
-          status_[j] = ColStatus::kFree;
-        }
-        break;
-      case ColStatus::kAtUpper:
-        if (std::isfinite(ub_[j])) {
-          value_[j] = ub_[j];
-        } else if (std::isfinite(lb_[j])) {
-          status_[j] = ColStatus::kAtLower;
-          value_[j] = lb_[j];
-        } else {
-          status_[j] = ColStatus::kFree;
-        }
-        break;
-      case ColStatus::kFree:
-        break;
-    }
-  }
-  if (!Refactorize()) {
-    return false;  // Singular against this model: stay cold, caller re-solves.
-  }
-  ComputeBasicValues();
-  basis_valid_ = true;
-  prepared_rows_ = model.num_rows();
-  prepared_vars_ = model.num_variables();
-  prepared_nonzeros_ = model.num_nonzeros();
-  return true;
+std::vector<int32_t> SimplexSolver::ExportBasis() const {
+  return basis_valid_ ? basis_ : std::vector<int32_t>();
 }
 
 void SimplexSolver::PriceTrueCosts() {

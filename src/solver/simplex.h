@@ -66,23 +66,6 @@ struct LpOptions {
   // does not, the full clean pass runs after all). 0 restores the
   // unconditional rebuild.
   int clean_pass_eta_limit = 8;
-
-  // Dual simplex warm re-solve: when ResolveWithBasis holds a basis that is
-  // still dual-feasible under the current costs (exactly the case after a
-  // bound/RHS-only model patch or a branch-and-bound bound change — the
-  // costs, and therefore the duals, did not move), re-optimize with dual
-  // pivots from that basis instead of driving the primal phase-1/phase-2
-  // machinery from scratch. The primal loop still runs afterwards as the
-  // optimality verifier, so this is purely an accelerator: any dual-side
-  // stall or numerical doubt falls through to the unchanged primal path.
-  bool dual_resolve = true;
-
-  // Presolve on cold solves: reduce the model (fixed variables, empty rows,
-  // singleton-row bound folds, conservative bound tightening), solve the
-  // reduction, and postsolve the basis back onto the full model, where the
-  // primal loop verifies it. Falls back to the plain cold path whenever no
-  // reduction applies or the postsolved basis fails to import.
-  bool presolve = true;
 };
 
 struct LpResult {
@@ -104,14 +87,10 @@ struct LpResult {
   // Full pricing scans: candidate-list refreshes, Bland iterations, and the
   // scan that certifies optimality.
   int64_t full_pricing_scans = 0;
-  // Dual simplex warm re-solve (LpOptions::dual_resolve): pivots taken by the
-  // dual kernel before the primal verifier ran, and whether it ran at all.
+  // Dual simplex warm re-solve (ResolveWithBasis): pivots taken by the dual
+  // kernel before the primal verifier ran, and whether it ran at all.
   int64_t dual_iterations = 0;
   bool used_dual_simplex = false;
-  // Presolve accounting (LpOptions::presolve; zero when the reduction did not
-  // apply): rows and variables removed from the model the iterations ran on.
-  int32_t presolve_rows_removed = 0;
-  int32_t presolve_vars_removed = 0;
 };
 
 // Overrides for variable bounds, used by branch-and-bound to tighten integer
@@ -123,21 +102,6 @@ struct BoundOverride {
   double ub;
 };
 
-// A portable snapshot of a simplex basis: the basic column in each row
-// position plus every column's status, with the model shape it belongs to.
-// Exported from one solver after an optimal solve and imported into another
-// (possibly freshly constructed) solver over a structurally identical model;
-// the presolve crossover uses it to lift a reduced LP's basis to the full
-// model.
-struct SimplexBasis {
-  std::vector<int32_t> basic;   // Row position -> column (structural or slack).
-  std::vector<uint8_t> status;  // Per column; values from SimplexSolver's ColStatus.
-  size_t rows = 0;
-  size_t vars = 0;
-  size_t nonzeros = 0;
-  bool empty() const { return basic.empty(); }
-};
-
 class SimplexSolver {
  public:
   explicit SimplexSolver(const LpOptions& options = LpOptions()) : options_(options) {}
@@ -147,26 +111,20 @@ class SimplexSolver {
 
   // Re-solves the SAME model with different bound overrides, starting from
   // the final basis of the previous call. Bound changes leave the basis
-  // matrix (and its factorization) valid; only primal values shift, and the
-  // composite phase 1 drives out any new violations in a few pivots. This is
-  // what makes branch-and-bound nodes cheap: each child differs from its
-  // parent by one integer bound. Falls back to a cold solve when no
-  // compatible basis is available.
+  // matrix (and its factorization) valid; only primal values shift. While
+  // that basis is still dual-feasible under the current costs (a bound/RHS
+  // change moves no dual), the dual simplex re-optimizes it in a few pivots;
+  // the primal loop then runs as the optimality verifier, and is the whole
+  // re-solve when the basis is not dual-feasible. This is what makes
+  // branch-and-bound nodes cheap: each child differs from its parent by one
+  // integer bound. Falls back to a cold solve when no compatible basis is
+  // available.
   LpResult ResolveWithBasis(const Model& model, const std::vector<BoundOverride>& overrides);
 
-  // Snapshot of the retained warm-start basis; empty when no valid basis is
-  // held (no solve yet, or the last solve did not end optimal).
-  SimplexBasis ExportBasis() const;
-
-  // Installs `basis` as the retained warm-start basis for `model`, as if this
-  // solver had just solved it: builds the column structure, factorizes the
-  // basis from scratch, and validates it. Returns false — leaving the
-  // solver cold, so the next call simply solves from scratch — when the shape
-  // fingerprint mismatches, the snapshot is malformed, or the basis matrix is
-  // singular against the current model (a stale basis must be detected here,
-  // never allowed to produce garbage). On success the next ResolveWithBasis
-  // starts warm from this basis.
-  bool ImportBasis(const Model& model, const SimplexBasis& basis);
+  // The retained warm-start basis: the column basic in each row position
+  // (structurals 0..n-1, then row slacks n..n+m-1). Empty when no valid basis
+  // is held (no solve yet, or the last solve did not end optimal).
+  std::vector<int32_t> ExportBasis() const;
 
  private:
   enum class ColStatus : uint8_t { kBasic, kAtLower, kAtUpper, kFree };
@@ -185,14 +143,6 @@ class SimplexSolver {
   double TotalInfeasibility() const;
 
   LpResult RunSimplex(const Model& model);
-
-  // ImportBasis over a model viewed through bound overrides (the presolve
-  // postsolve path re-imports under the same overrides the solve ran with).
-  bool ImportBasisInternal(const Model& model, const SimplexBasis& basis,
-                           const std::vector<BoundOverride>& overrides);
-  // Cold solve without the presolve reduction (the presolve path's fallback
-  // and the reduced model's inner solve both use it).
-  LpResult SolveDirect(const Model& model, const std::vector<BoundOverride>& overrides);
 
   // Prices every column with the true objective from scratch: y_ = B^-T c_B
   // and d_j = c_j - y_·a_j (0 for basic and fixed columns).

@@ -76,6 +76,31 @@ std::map<int, double> EffectivePerReservation(const GreedyEnv::Built& b,
   return effective;
 }
 
+// RRU held per reservation id under `counts`.
+std::map<ReservationId, double> HeldRru(const GreedyEnv::Built& b,
+                                       const std::vector<double>& counts) {
+  std::map<ReservationId, double> held;
+  for (size_t k = 0; k < counts.size(); ++k) {
+    const auto& av = b.built.assignment_vars[k];
+    const EquivalenceClass& cls = b.classes[static_cast<size_t>(av.class_index)];
+    const ReservationSpec& spec = b.input.reservations[static_cast<size_t>(av.reservation_index)];
+    held[spec.id] += spec.ValueOfType(cls.type) * counts[k];
+  }
+  return held;
+}
+
+// A one-server shared buffer for hardware type `type` only.
+ReservationSpec SharedBufferFor(size_t num_types, size_t type) {
+  ReservationSpec buffer;
+  buffer.name = "shared-buffer/starved";
+  buffer.capacity_rru = 1.0;
+  buffer.rru_per_type.assign(num_types, 0.0);
+  buffer.rru_per_type[type] = 1.0;
+  buffer.needs_correlated_buffer = false;
+  buffer.is_shared_random_buffer = true;
+  return buffer;
+}
+
 TEST(InitialAssignmentTest, FillsCapacityPlusBuffer) {
   GreedyEnv env;
   env.Add("a", 30);
@@ -200,20 +225,13 @@ TEST(RepairCountsTest, FillsStarvedSharedBufferFromDonorWithSurplus) {
   }
   const double population = static_cast<double>(by_type[type].size());
   ASSERT_GE(population, 4.0);
-  std::vector<double> only_type(env.fleet.catalog.size(), 0.0);
-  only_type[type] = 1.0;
 
-  ReservationSpec buffer;
-  buffer.name = "shared-buffer/starved";
-  buffer.capacity_rru = 1.0;
-  buffer.rru_per_type = only_type;
-  buffer.needs_correlated_buffer = false;
-  buffer.is_shared_random_buffer = true;
+  const ReservationSpec buffer = SharedBufferFor(env.fleet.catalog.size(), type);
   ReservationId buffer_id = *env.registry.Create(buffer);
   ReservationSpec donor;
   donor.name = "a";
   donor.capacity_rru = population - 2.0;
-  donor.rru_per_type = only_type;
+  donor.rru_per_type = buffer.rru_per_type;
   donor.needs_correlated_buffer = false;
   ReservationId donor_id = *env.registry.Create(donor);
   for (ServerId id : by_type[type]) {
@@ -221,17 +239,89 @@ TEST(RepairCountsTest, FillsStarvedSharedBufferFromDonorWithSurplus) {
   }
 
   auto b = env.Prepare();
-  auto counts = BuildInitialCounts(b.input, b.classes, b.built);
-  std::map<ReservationId, double> held;
-  for (size_t k = 0; k < counts.size(); ++k) {
-    const auto& av = b.built.assignment_vars[k];
-    const EquivalenceClass& cls = b.classes[static_cast<size_t>(av.class_index)];
-    const ReservationSpec& spec = b.input.reservations[static_cast<size_t>(av.reservation_index)];
-    held[spec.id] += spec.ValueOfType(cls.type) * counts[k];
-  }
+  auto held = HeldRru(b, BuildInitialCounts(b.input, b.classes, b.built));
   EXPECT_GE(held[buffer_id], 1.0 - 1e-9);
   EXPECT_GE(held[donor_id], population - 2.0 - 1e-9);
   EXPECT_LE(held[buffer_id] + held[donor_id], population + 1e-9);
+}
+
+TEST(RepairCountsTest, FillsStarvedSharedBufferFromTightDonorThatCanRefill) {
+  // As above, but no donor has surplus. "a" holds one server of the type in
+  // every MSB that has one and needs all of them: its C_r equals its
+  // effective capacity, with and without the worst-MSB buffer of
+  // constraint (6), so losing any one server leaves it short. "b", eligible
+  // for this type only, holds the rest and needs them all too. Every other
+  // type sits idle, and "a" is eligible for all of them. The repair must
+  // move one of "a"'s servers to the buffer and refill "a" from the idle
+  // types, whatever the reservations' id order.
+  for (bool buffer_first : {true, false}) {
+    for (bool correlated : {false, true}) {
+      SCOPED_TRACE(std::string("buffer_first=") + (buffer_first ? "1" : "0") +
+                   " correlated=" + (correlated ? "1" : "0"));
+      GreedyEnv env;
+      // The type present in the most MSBs, its servers grouped by MSB.
+      std::vector<std::map<MsbId, std::vector<ServerId>>> by_type_msb(env.fleet.catalog.size());
+      for (const Server& s : env.fleet.topology.servers()) {
+        by_type_msb[s.type][s.msb].push_back(s.id);
+      }
+      size_t type = 0;
+      for (size_t t = 1; t < by_type_msb.size(); ++t) {
+        if (by_type_msb[t].size() > by_type_msb[type].size()) {
+          type = t;
+        }
+      }
+      const size_t msbs_with_type = by_type_msb[type].size();
+      ASSERT_GE(msbs_with_type, 3u);
+      std::vector<ServerId> for_a;
+      std::vector<ServerId> for_b;
+      for (const auto& [msb, ids] : by_type_msb[type]) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          (i == 0 ? for_a : for_b).push_back(ids[i]);
+        }
+      }
+      const double a_capacity = static_cast<double>(msbs_with_type - (correlated ? 1 : 0));
+
+      const ReservationSpec buffer = SharedBufferFor(env.fleet.catalog.size(), type);
+      ReservationSpec a;
+      a.name = "a";
+      a.capacity_rru = a_capacity;
+      a.rru_per_type.assign(env.fleet.catalog.size(), 1.0);
+      a.needs_correlated_buffer = correlated;
+      ReservationSpec b;
+      b.name = "b";
+      b.capacity_rru = static_cast<double>(for_b.size());
+      b.rru_per_type = buffer.rru_per_type;
+      b.needs_correlated_buffer = false;
+      ReservationId buffer_id = buffer_first ? *env.registry.Create(buffer) : 0;
+      ReservationId a_id = *env.registry.Create(a);
+      ReservationId b_id = *env.registry.Create(b);
+      if (!buffer_first) {
+        buffer_id = *env.registry.Create(buffer);
+      }
+      for (ServerId id : for_a) {
+        env.broker->SetCurrent(id, a_id);
+      }
+      for (ServerId id : for_b) {
+        env.broker->SetCurrent(id, b_id);
+      }
+
+      auto prepared = env.Prepare();
+      auto counts = BuildInitialCounts(prepared.input, prepared.classes, prepared.built);
+      auto held = HeldRru(prepared, counts);
+      EXPECT_GE(held[buffer_id], 1.0 - 1e-9);
+      EXPECT_GE(held[b_id], b.capacity_rru - 1e-9);
+      EXPECT_LE(held[buffer_id] + held[b_id], static_cast<double>(for_b.size()) + 1.0 + 1e-9);
+      double a_effective = held[a_id];
+      if (correlated) {
+        for (size_t r = 0; r < prepared.input.reservations.size(); ++r) {
+          if (prepared.input.reservations[r].id == a_id) {
+            a_effective = EffectivePerReservation(prepared, counts)[static_cast<int>(r)];
+          }
+        }
+      }
+      EXPECT_GE(a_effective, a_capacity - 1e-9);
+    }
+  }
 }
 
 }  // namespace

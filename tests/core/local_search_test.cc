@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "src/core/async_solver.h"
 #include "src/core/initial_assignment.h"
@@ -105,6 +106,66 @@ TEST(LocalSearchTest, ResultRespectsSupplyAndFeasibility) {
   }
   auto warm = MakeWarmStart(b.input, b.classes, b.built, result.counts);
   EXPECT_TRUE(b.built.model.IsFeasible(warm, 1e-6));
+}
+
+TEST(LocalSearchTest, RejectsCostNeutralRelocatesAsRoundingNoise) {
+  // "a" holds 20 servers in every MSB, spread over that MSB's classes with
+  // spare left in each, and sits half an RRU short of its C_r: a shortfall
+  // cost of 5e5, as large as the costs of a real round. Every server is
+  // worth the same RRU value, inexact in binary. From here no move gains
+  // anything: an acquire raises the worst MSB as much as the total, a
+  // release or a relocate to another MSB loses effective capacity, and a
+  // relocate between two classes of one MSB is cost-neutral. That last kind
+  // moves the recomputed cost by rounding alone — ulps of the total times
+  // the 1e6 shortfall cost, about 1e-9 — and such "gains" must not be
+  // accepted, let alone back and forth. Whether rounding errs low depends on
+  // the value; on this fleet it does for 2.71, among the values tried.
+  for (double value : {0.1, 0.3, 0.7, 1.1, 1.3, 2.3, 3.7, 0.37, 0.73, 1.37, 2.71, 3.14, 0.123,
+                       5.55, 7.77, 0.45, 1.9, 2.6, 4.4, 6.1}) {
+    SCOPED_TRACE("value " + std::to_string(value));
+    SearchEnv env;
+    const size_t per_msb = 20;
+    const size_t num_msbs = env.fleet.topology.num_msbs();
+    ReservationSpec spec;
+    spec.name = "a";
+    spec.capacity_rru = value * static_cast<double>(per_msb * (num_msbs - 1)) + 0.5;
+    spec.rru_per_type.assign(env.fleet.catalog.size(), value);
+    ASSERT_TRUE(env.registry.Create(spec).ok());
+    auto b = env.Prepare();
+
+    std::map<MsbId, std::vector<size_t>> vars_in_msb;
+    for (size_t k = 0; k < b.built.assignment_vars.size(); ++k) {
+      const EquivalenceClass& cls =
+          b.classes[static_cast<size_t>(b.built.assignment_vars[k].class_index)];
+      vars_in_msb[cls.msb].push_back(k);
+    }
+    ASSERT_EQ(vars_in_msb.size(), num_msbs);
+    std::vector<double> counts(b.built.assignment_vars.size(), 0.0);
+    for (const auto& [msb, vars] : vars_in_msb) {
+      // Round-robin over the MSB's classes, leaving every class a spare
+      // server so a same-MSB relocate always has somewhere to go.
+      size_t placed = 0;
+      for (size_t pass = 0; placed < per_msb && pass < per_msb; ++pass) {
+        for (size_t k : vars) {
+          const size_t c = static_cast<size_t>(b.built.assignment_vars[k].class_index);
+          if (placed < per_msb && counts[k] + 1.0 < static_cast<double>(b.classes[c].count())) {
+            counts[k] += 1.0;
+            ++placed;
+          }
+        }
+      }
+      ASSERT_EQ(placed, per_msb) << "msb " << msb;
+    }
+
+    LocalSearchOptions options;
+    options.max_proposals = 200000;
+    LocalSearchResult result =
+        LocalSearchOptimize(b.input, b.classes, b.built, counts, options);
+    EXPECT_GT(result.initial_objective, 5e5);
+    EXPECT_LT(result.initial_objective, 2e6);
+    EXPECT_EQ(result.accepted, 0);
+    EXPECT_EQ(result.counts, counts);
+  }
 }
 
 TEST(LocalSearchTest, RespectsProposalBudget) {

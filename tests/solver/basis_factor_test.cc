@@ -244,11 +244,9 @@ TEST(BasisFactorTest, RasPhase1OptimalBasisMatchesDenseInverse) {
   BuiltModel built = BuildRasModel(input, classes, SolverConfig(), /*include_rack_spread=*/false);
   const Model& model = built.model;
 
-  LpOptions options;
-  options.presolve = false;
-  SimplexSolver solver(options);
+  SimplexSolver solver;
   ASSERT_EQ(solver.Solve(model).status, LpStatus::kOptimal);
-  SimplexBasis basis = solver.ExportBasis();
+  std::vector<int32_t> basis = solver.ExportBasis();
   ASSERT_FALSE(basis.empty());
 
   const size_t m = model.num_rows();
@@ -256,7 +254,7 @@ TEST(BasisFactorTest, RasPhase1OptimalBasisMatchesDenseInverse) {
   DenseBasis cols(m, std::vector<double>(m, 0.0));
   int structural = 0;
   for (size_t pos = 0; pos < m; ++pos) {
-    int32_t col = basis.basic[pos];
+    int32_t col = basis[pos];
     if (col >= n) {
       cols[pos][static_cast<size_t>(col - n)] = -1.0;
     } else {

@@ -3,10 +3,14 @@
 // simplex in dense_lp_oracle.h, which shares no code with it. Both are exact
 // algorithms over the same model, so on every instance they must agree on
 // status, and on optimal instances on the objective to within numerical
-// tolerance (the optimal vertex itself may differ under degeneracy).
+// tolerance (the optimal vertex itself may differ under degeneracy). The
+// instances include degenerate shapes (fixed columns, empty and singleton
+// rows, crossed bound overrides): no reduction pass runs before the simplex,
+// so it must solve them as they are.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -69,6 +73,74 @@ Model RandomLp(Rng& rng) {
   return m;
 }
 
+// Degenerate shapes mixed into ordinary rows: fixed columns (lb == ub),
+// empty rows whose range does or does not cover 0, and singleton rows (a
+// bound in disguise). The simplex sees each of them unreduced.
+struct ShapeCounts {
+  int fixed_columns = 0;
+  int empty_rows_covering_zero = 0;
+  int empty_rows_excluding_zero = 0;
+  int singleton_rows = 0;
+};
+
+Model RandomReducibleLp(Rng& rng, ShapeCounts* shapes) {
+  Model m;
+  const int num_vars = 4 + static_cast<int>(rng.UniformInt(0, 10));
+  for (int j = 0; j < num_vars; ++j) {
+    double lb = rng.Uniform(-4.0, 0.0);
+    if (rng.NextDouble() < 0.2) {
+      double v = rng.Uniform(lb, lb + 3.0);
+      m.AddContinuous(v, v, rng.Uniform(-5.0, 5.0));
+      ++shapes->fixed_columns;
+    } else {
+      m.AddContinuous(lb, lb + rng.Uniform(1.0, 9.0), rng.Uniform(-5.0, 5.0));
+    }
+  }
+  const int num_rows = 3 + static_cast<int>(rng.UniformInt(0, 8));
+  for (int r = 0; r < num_rows; ++r) {
+    double roll = rng.NextDouble();
+    if (roll < 0.1) {
+      m.AddRow(-rng.Uniform(0.0, 2.0), rng.Uniform(0.0, 2.0));
+      ++shapes->empty_rows_covering_zero;
+      continue;
+    }
+    if (roll < 0.15) {
+      // An empty row whose range excludes 0 makes the whole LP infeasible.
+      double lo = rng.Uniform(0.1, 2.0);
+      if (rng.NextDouble() < 0.5) {
+        m.AddRow(lo, lo + rng.Uniform(0.0, 2.0));
+      } else {
+        m.AddRow(-lo - rng.Uniform(0.0, 2.0), -lo);
+      }
+      ++shapes->empty_rows_excluding_zero;
+      continue;
+    }
+    double a = rng.Uniform(-8.0, 8.0);
+    double b = rng.Uniform(-8.0, 12.0);
+    RowId row = m.AddRow(std::min(a, b), std::max(a, b) + 4.0);
+    if (roll < 0.4) {
+      // Singleton row (possibly negative coefficient): a bound in disguise.
+      m.AddCoefficient(row, static_cast<VarId>(rng.UniformInt(0, num_vars - 1)),
+                       rng.NextDouble() < 0.5 ? rng.Uniform(0.5, 3.0)
+                                              : rng.Uniform(-3.0, -0.5));
+      ++shapes->singleton_rows;
+      continue;
+    }
+    int entries = 0;
+    for (int j = 0; j < num_vars; ++j) {
+      if (rng.NextDouble() < 0.4) {
+        m.AddCoefficient(row, j, rng.Uniform(-3.0, 3.0));
+        ++entries;
+      }
+    }
+    if (entries == 0) {
+      m.AddCoefficient(row, static_cast<VarId>(rng.UniformInt(0, num_vars - 1)),
+                       rng.Uniform(0.5, 2.0));
+    }
+  }
+  return m;
+}
+
 TEST(SparseDenseFuzzTest, SparseKernelsMatchDenseReference) {
   Rng rng(20260806);
   int optimal = 0;
@@ -103,6 +175,73 @@ TEST(SparseDenseFuzzTest, SparseKernelsMatchDenseReference) {
   // The generator should produce a healthy mix; if not, the test is vacuous.
   EXPECT_GE(optimal, 30);
   EXPECT_GE(infeasible, 5);
+}
+
+TEST(SparseDenseFuzzTest, ReducibleShapesMatchDenseReference) {
+  // Fixed columns, empty and singleton rows, plus branching-style bound
+  // overrides on one variable, some of them crossed (lb > ub). The solver
+  // must agree with the dense reference on a copy of the model with the
+  // overrides applied, and report a crossed range as infeasible.
+  Rng rng(20260807);
+  ShapeCounts shapes;
+  int optimal = 0;
+  int infeasible = 0;
+  int crossed = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    Model m = RandomReducibleLp(rng, &shapes);
+    std::vector<BoundOverride> overrides;
+    Model bounded = m;
+    const double roll = rng.NextDouble();
+    if (roll < 0.5) {
+      VarId var = static_cast<VarId>(rng.UniformInt(0, static_cast<int64_t>(m.num_variables()) - 1));
+      double lb = m.variable(var).lb;
+      double ub = m.variable(var).ub;
+      double cut = rng.Uniform(lb, ub);
+      if (roll < 0.1) {
+        overrides.push_back(BoundOverride{var, cut + rng.Uniform(0.1, 1.0), cut});
+      } else if (roll < 0.3) {
+        overrides.push_back(BoundOverride{var, lb, cut});
+      } else {
+        overrides.push_back(BoundOverride{var, cut, ub});
+      }
+    }
+    bool crossed_range = false;
+    for (const BoundOverride& o : overrides) {
+      if (o.lb > o.ub) {
+        crossed_range = true;
+      } else {
+        bounded.SetVariableBounds(o.var, o.lb, o.ub);
+      }
+    }
+
+    LpResult sparse = SimplexSolver().Solve(m, overrides);
+    if (crossed_range) {
+      ++crossed;
+      ASSERT_EQ(sparse.status, LpStatus::kInfeasible) << "trial " << trial;
+      continue;
+    }
+    DenseLpResult dense = SolveDenseLp(bounded);
+    ASSERT_EQ(dense.status, sparse.status)
+        << "trial " << trial << ": dense=" << LpStatusName(dense.status)
+        << " sparse=" << LpStatusName(sparse.status);
+    if (dense.status == LpStatus::kOptimal) {
+      ++optimal;
+      EXPECT_NEAR(dense.objective, sparse.objective, 1e-6 * (1.0 + std::fabs(dense.objective)))
+          << "trial " << trial;
+      ASSERT_EQ(sparse.x.size(), m.num_variables()) << "trial " << trial;
+      EXPECT_TRUE(bounded.IsFeasible(sparse.x, 1e-6)) << "trial " << trial;
+    } else if (dense.status == LpStatus::kInfeasible) {
+      ++infeasible;
+    }
+  }
+  // Every shape and both outcomes must actually occur, or the test is vacuous.
+  EXPECT_GE(optimal, 40);
+  EXPECT_GE(infeasible, 10);
+  EXPECT_GE(crossed, 5);
+  EXPECT_GE(shapes.fixed_columns, 100);
+  EXPECT_GE(shapes.empty_rows_covering_zero, 50);
+  EXPECT_GE(shapes.empty_rows_excluding_zero, 30);
+  EXPECT_GE(shapes.singleton_rows, 150);
 }
 
 TEST(SparseDenseFuzzTest, AdaptiveRefactorizationTriggersAndStaysCorrect) {

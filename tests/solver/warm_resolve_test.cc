@@ -177,64 +177,6 @@ TEST(WarmResolveTest, MatchesColdSolveAfterObjectiveChange) {
   }
 }
 
-TEST(WarmResolveTest, SingularStaleBasisDetectedOnImport) {
-  // A stale basis can be singular against the current model (e.g.
-  // coefficients changed underneath it). ImportBasis must detect this
-  // during its from-scratch refactorization and refuse — leaving the solver
-  // cold and correct — never install it and return garbage.
-  Model m;
-  m.AddContinuous(0, 10, -1.0);
-  m.AddContinuous(0, 10, -1.0);
-  RowId r0 = m.AddRow(0, 10);
-  m.AddCoefficient(r0, 0, 1.0);
-  m.AddCoefficient(r0, 1, 1.0);
-  RowId r1 = m.AddRow(0, 20);
-  m.AddCoefficient(r1, 0, 2.0);
-  m.AddCoefficient(r1, 1, 2.0);
-
-  // Both structural columns basic: (1,2) and (1,2) — a singular basis matrix
-  // with a shape fingerprint that matches the model exactly.
-  SimplexBasis stale;
-  stale.basic = {0, 1};
-  stale.status = {0, 0, 1, 1};  // kBasic, kBasic, kAtLower, kAtLower.
-  stale.rows = m.num_rows();
-  stale.vars = m.num_variables();
-  stale.nonzeros = 4;
-
-  SimplexSolver solver;
-  EXPECT_FALSE(solver.ImportBasis(m, stale));
-
-  // The refused import leaves the solver cold: the next resolve falls back
-  // to a from-scratch solve and matches an independent cold solver.
-  LpResult after = solver.ResolveWithBasis(m, {});
-  SimplexSolver cold;
-  LpResult reference = cold.Solve(m);
-  ASSERT_EQ(after.status, LpStatus::kOptimal);
-  ASSERT_EQ(reference.status, LpStatus::kOptimal);
-  EXPECT_NEAR(after.objective, reference.objective, 1e-6);
-  EXPECT_TRUE(m.IsFeasible(after.x, 1e-6));
-}
-
-TEST(WarmResolveTest, ExportedBasisRoundTripsThroughImport) {
-  // The basis lifecycle: export after an optimal solve, import into a fresh
-  // solver over the same model, and resolve — the warm restart must reach
-  // the optimum in (nearly) zero pivots.
-  std::vector<double> ref;
-  Model m = RandomLp(7700, 24, 16, &ref);
-  SimplexSolver first;
-  LpResult base = first.Solve(m);
-  ASSERT_EQ(base.status, LpStatus::kOptimal);
-  SimplexBasis basis = first.ExportBasis();
-  ASSERT_FALSE(basis.empty());
-
-  SimplexSolver second;
-  ASSERT_TRUE(second.ImportBasis(m, basis));
-  LpResult warm = second.ResolveWithBasis(m, {});
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, base.objective, 1e-6);
-  EXPECT_LE(warm.iterations, std::max<int64_t>(base.iterations / 4, 2));
-}
-
 TEST(WarmResolveTest, ChainOfResolves) {
   // Simulates a B&B dive: a chain of progressively tighter integer bounds.
   std::vector<double> ref;
@@ -425,28 +367,6 @@ TEST(WarmResolveTest, DualSimplexDeclinedAfterCostChangeYetCorrect) {
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-5);
   EXPECT_TRUE(m.IsFeasible(warm.x, 1e-5));
-}
-
-TEST(WarmResolveTest, DualResolveDisabledByOption) {
-  // With the knob off the resolve must never enter the dual kernel, whatever
-  // the bound change looks like.
-  std::vector<double> ref;
-  LpOptions options;
-  options.dual_resolve = false;
-  Model m = RandomLp(9400, 10, 7, &ref);
-  SimplexSolver solver(options);
-  ASSERT_EQ(solver.Solve(m).status, LpStatus::kOptimal);
-  for (size_t r = 0; r < m.num_rows(); ++r) {
-    double activity = 0.0;
-    for (const RowEntry& e : m.row_entries(r)) {
-      activity += e.coeff * ref[static_cast<size_t>(e.var)];
-    }
-    m.SetRowBounds(static_cast<RowId>(r), activity - 0.3, activity + 0.3);
-  }
-  LpResult warm = solver.ResolveWithBasis(m, {});
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_FALSE(warm.used_dual_simplex);
-  EXPECT_EQ(warm.dual_iterations, 0);
 }
 
 }  // namespace
